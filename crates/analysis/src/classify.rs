@@ -22,7 +22,7 @@ pub const MAX_DESCRIPTORS: usize = 10;
 
 /// How element indices map to owning processes, for transposable
 /// per-process data. All variants are derived from the write descriptors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OwnerMap {
     /// A (possibly minor) array dimension equals the pid: `a[i][p]` or
     /// `a[p]`.
@@ -63,7 +63,7 @@ impl OwnerMap {
 }
 
 /// Access pattern of one side (reads or writes) of an (object, field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pattern {
     /// No accesses of this kind.
     None,

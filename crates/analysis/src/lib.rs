@@ -42,7 +42,7 @@ pub mod section;
 pub mod summary;
 
 pub use classify::{AccessClass, Analysis, OwnerMap, Pattern, SideSummary, MAX_DESCRIPTORS};
-pub use phase::{phase_profile, PhaseProfile, PhaseSpan};
+pub use phase::PhaseSpan;
 pub use races::{access_label, detect, detect_with, RaceReport, SuppressedGroup};
 pub use rel::{RefineFacts, RelFacts, RelVal, RelVerdict};
 pub use section::{Bound, ProcCond, Rsd, Section};

@@ -11,7 +11,6 @@
 //! the spawning process); the forall entry acts as an implicit barrier
 //! starting phase 1.
 
-use fsr_lang::ast::{Block, Callee, Expr, ExprKind, Program, StmtKind};
 use std::fmt;
 
 /// Saturating upper bound used for "repeats indefinitely" (loops whose
@@ -20,7 +19,7 @@ use std::fmt;
 pub const PHASE_MAX: u32 = u32::MAX;
 
 /// An inclusive range of phase indices a statement may execute in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSpan {
     pub lo: u32,
     pub hi: u32,
@@ -115,213 +114,6 @@ impl PhaseCounter {
     }
 }
 
-/// Static barrier structure of a program — what the batch driver needs
-/// to pick a trace-segmentation policy. Reuses the same [`PhaseCounter`]
-/// walk as the non-concurrency pass (stage 2), so the phase arithmetic
-/// cannot drift from the analysis the transformations trust.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseProfile {
-    /// Barrier statements in the program (static count).
-    pub num_barriers: u32,
-    /// Phase span at the end of `main` — its `lo` is a lower bound on
-    /// the number of dynamic phases every run crosses.
-    pub static_phases: PhaseSpan,
-    /// Whether any barrier executes inside a loop: the dynamic phase
-    /// count then exceeds the static one (span widened to ∞).
-    pub barriers_in_loops: bool,
-}
-
-impl PhaseProfile {
-    /// Whether a trace of this program can split into more than one
-    /// phase segment at barrier boundaries.
-    pub fn splittable(&self) -> bool {
-        self.num_barriers > 0
-    }
-
-    /// Lower bound on the number of phase segments in any trace (phases
-    /// are segments: one more than the barriers crossed).
-    pub fn min_segments(&self) -> u32 {
-        self.static_phases.lo.saturating_add(1)
-    }
-}
-
-/// Compute the [`PhaseProfile`] of a checked program by walking `main`
-/// with the stage-2 [`PhaseCounter`]. Calls are handled transitively at
-/// statement and expression level: a call that may reach a barrier
-/// widens the span (the callee's barriers execute at an unknown static
-/// offset).
-pub fn phase_profile(prog: &Program) -> PhaseProfile {
-    // Transitive "may execute a barrier" per function, to fixpoint.
-    let mut has = vec![false; prog.funcs.len()];
-    loop {
-        let mut changed = false;
-        for i in 0..prog.funcs.len() {
-            if !has[i] && block_reaches_barrier(&prog.funcs[i].body, &has) {
-                has[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    let mut c = PhaseCounter::start();
-    let mut in_loops = false;
-    if let Some(main) = prog.main {
-        walk(&prog.func(main).body, &mut c, &has, &mut in_loops);
-    }
-    PhaseProfile {
-        num_barriers: prog.num_barriers,
-        static_phases: c.current(),
-        barriers_in_loops: in_loops,
-    }
-}
-
-fn walk(blk: &Block, c: &mut PhaseCounter, has: &[bool], in_loops: &mut bool) {
-    for s in &blk.stmts {
-        match &s.kind {
-            StmtKind::Barrier { .. } => c.barrier(),
-            StmtKind::Forall { body, .. } => {
-                // Forall entry is the implicit barrier starting phase 1;
-                // the join at exit is another.
-                c.barrier();
-                walk(body, c, has, in_loops);
-                c.barrier();
-            }
-            StmtKind::While { cond, body } => {
-                if expr_reaches_barrier(cond, has) {
-                    c.widen();
-                }
-                if block_reaches_barrier(body, has) {
-                    walk(body, c, has, in_loops);
-                    c.widen();
-                    *in_loops = true;
-                }
-            }
-            StmtKind::For {
-                lo, hi, step, body, ..
-            } => {
-                for e in [Some(lo), Some(hi), step.as_ref()].into_iter().flatten() {
-                    if expr_reaches_barrier(e, has) {
-                        c.widen();
-                    }
-                }
-                if block_reaches_barrier(body, has) {
-                    walk(body, c, has, in_loops);
-                    c.widen();
-                    *in_loops = true;
-                }
-            }
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                if expr_reaches_barrier(cond, has) {
-                    c.widen();
-                }
-                let mut a = *c;
-                walk(then_blk, &mut a, has, in_loops);
-                let mut b = *c;
-                if let Some(e) = else_blk {
-                    walk(e, &mut b, has, in_loops);
-                }
-                a.join(b);
-                *c = a;
-            }
-            StmtKind::Block(b) => walk(b, c, has, in_loops),
-            StmtKind::CallStmt { callee, args, .. } => {
-                let callee_hits = matches!(callee, Some(Callee::User(f)) if has[f.index()]);
-                if callee_hits || args.iter().any(|a| expr_reaches_barrier(a, has)) {
-                    c.widen();
-                }
-            }
-            StmtKind::Assign { value, .. } => {
-                if expr_reaches_barrier(value, has) {
-                    c.widen();
-                }
-            }
-            StmtKind::VarDecl { init, .. } => {
-                if init.as_ref().is_some_and(|e| expr_reaches_barrier(e, has)) {
-                    c.widen();
-                }
-            }
-            StmtKind::Return(Some(e)) => {
-                if expr_reaches_barrier(e, has) {
-                    c.widen();
-                }
-            }
-            StmtKind::Return(None)
-            | StmtKind::Break
-            | StmtKind::Continue
-            | StmtKind::Lock { .. }
-            | StmtKind::Unlock { .. } => {}
-        }
-    }
-}
-
-/// Whether executing `blk` may reach a barrier, given per-function
-/// reachability computed so far.
-fn block_reaches_barrier(blk: &Block, has: &[bool]) -> bool {
-    blk.stmts.iter().any(|s| match &s.kind {
-        StmtKind::Barrier { .. } => true,
-        // Forall entry/exit are implicit barriers.
-        StmtKind::Forall { .. } => true,
-        StmtKind::While { cond, body } => {
-            expr_reaches_barrier(cond, has) || block_reaches_barrier(body, has)
-        }
-        StmtKind::For {
-            lo, hi, step, body, ..
-        } => {
-            [Some(lo), Some(hi), step.as_ref()]
-                .into_iter()
-                .flatten()
-                .any(|e| expr_reaches_barrier(e, has))
-                || block_reaches_barrier(body, has)
-        }
-        StmtKind::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            expr_reaches_barrier(cond, has)
-                || block_reaches_barrier(then_blk, has)
-                || else_blk
-                    .as_ref()
-                    .is_some_and(|b| block_reaches_barrier(b, has))
-        }
-        StmtKind::Block(b) => block_reaches_barrier(b, has),
-        StmtKind::CallStmt { callee, args, .. } => {
-            matches!(callee, Some(Callee::User(f)) if has[f.index()])
-                || args.iter().any(|a| expr_reaches_barrier(a, has))
-        }
-        StmtKind::Assign { value, .. } => expr_reaches_barrier(value, has),
-        StmtKind::VarDecl { init, .. } => {
-            init.as_ref().is_some_and(|e| expr_reaches_barrier(e, has))
-        }
-        StmtKind::Return(Some(e)) => expr_reaches_barrier(e, has),
-        StmtKind::Return(None)
-        | StmtKind::Break
-        | StmtKind::Continue
-        | StmtKind::Lock { .. }
-        | StmtKind::Unlock { .. } => false,
-    })
-}
-
-fn expr_reaches_barrier(e: &Expr, has: &[bool]) -> bool {
-    match &e.kind {
-        ExprKind::Unary(_, a) => expr_reaches_barrier(a, has),
-        ExprKind::Binary(_, a, b) => expr_reaches_barrier(a, has) || expr_reaches_barrier(b, has),
-        ExprKind::Call(callee, args) => {
-            matches!(callee, Callee::User(f) if has[f.index()])
-                || args.iter().any(|a| expr_reaches_barrier(a, has))
-        }
-        ExprKind::CallNamed(_, args) => args.iter().any(|a| expr_reaches_barrier(a, has)),
-        ExprKind::Int(_) | ExprKind::Path(_) | ExprKind::Var(_) | ExprKind::Load(_) => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,68 +172,5 @@ mod tests {
         assert_eq!(PhaseSpan::point(3).to_string(), "3");
         assert_eq!(PhaseSpan::new(1, 4).to_string(), "1..4");
         assert_eq!(PhaseSpan::new(1, PHASE_MAX).to_string(), "1..∞");
-    }
-
-    #[test]
-    fn profile_of_straight_line_program_is_unsplittable() {
-        let prog = fsr_lang::compile(
-            "param NPROC = 4; shared int c[NPROC];
-             fn main() { forall p in 0 .. NPROC { c[p] = c[p] + 1; } }",
-        )
-        .unwrap();
-        let pr = phase_profile(&prog);
-        assert_eq!(pr.num_barriers, 0);
-        assert!(!pr.splittable());
-        assert!(!pr.barriers_in_loops);
-        // Forall entry + exit: two implicit phase advances.
-        assert_eq!(pr.static_phases, PhaseSpan::point(2));
-    }
-
-    #[test]
-    fn profile_counts_straight_line_barriers() {
-        let prog = fsr_lang::compile(
-            "param NPROC = 4; shared int c[NPROC];
-             fn main() { forall p in 0 .. NPROC {
-                 c[p] = 1; barrier; c[p] = 2; barrier; c[p] = 3;
-             } }",
-        )
-        .unwrap();
-        let pr = phase_profile(&prog);
-        assert_eq!(pr.num_barriers, 2);
-        assert!(pr.splittable());
-        assert!(!pr.barriers_in_loops);
-        assert_eq!(pr.static_phases, PhaseSpan::point(4));
-        assert!(pr.min_segments() >= 4);
-    }
-
-    #[test]
-    fn profile_widens_barriers_inside_loops() {
-        let prog = fsr_lang::compile(
-            "param NPROC = 4; shared int c[NPROC];
-             fn main() { forall p in 0 .. NPROC { var i;
-                 for i in 0 .. 10 { c[p] = c[p] + 1; barrier; }
-             } }",
-        )
-        .unwrap();
-        let pr = phase_profile(&prog);
-        assert_eq!(pr.num_barriers, 1);
-        assert!(pr.splittable());
-        assert!(pr.barriers_in_loops);
-        assert!(pr.static_phases.is_unbounded());
-    }
-
-    #[test]
-    fn profile_tracks_barriers_through_calls() {
-        let prog = fsr_lang::compile(
-            "param NPROC = 4; shared int c[NPROC];
-             fn advance(int p) { c[p] = c[p] + 1; barrier; }
-             fn main() { forall p in 0 .. NPROC { advance(p); } }",
-        )
-        .unwrap();
-        let pr = phase_profile(&prog);
-        assert_eq!(pr.num_barriers, 1);
-        assert!(pr.splittable());
-        // A call that may reach a barrier widens the span.
-        assert!(pr.static_phases.is_unbounded());
     }
 }

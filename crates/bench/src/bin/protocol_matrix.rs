@@ -11,13 +11,11 @@
 //!
 //! Knobs: `FSR_NPROC`, `FSR_SCALE`, `FSR_THREADS` as usual, plus
 //! `FSR_MATRIX_WORKLOADS` (comma-separated names, default
-//! `raytrace,pverify,maxflow,topopt`) and the simulator engine via
-//! `--engine <scalar|soa|soa-chunked>` or `FSR_ENGINE` (default: the
-//! chunked SoA hot path).
+//! `raytrace,pverify,maxflow,topopt`).
 
 use fsr_bench::{Knobs, Table};
 use fsr_core::experiments::{protocol_matrix_cells, MatrixCell, Vsn};
-use fsr_core::{CoherenceEvent, InterconnectKind, MissKind, ProtocolKind, SimEngine};
+use fsr_core::{CoherenceEvent, InterconnectKind, MissKind, ProtocolKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -100,36 +98,13 @@ fn cell_json(c: &MatrixCell) -> String {
     s
 }
 
-/// The simulator engine: `--engine <name>` wins, then `FSR_ENGINE`,
-/// then the library default (chunked SoA).
-fn engine_from_args() -> SimEngine {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--engine" {
-            let v = args.next().expect("--engine takes a value");
-            return SimEngine::parse(&v)
-                .unwrap_or_else(|| panic!("unknown engine `{v}` (scalar|soa|soa-chunked)"));
-        }
-        if let Some(v) = a.strip_prefix("--engine=") {
-            return SimEngine::parse(v)
-                .unwrap_or_else(|| panic!("unknown engine `{v}` (scalar|soa|soa-chunked)"));
-        }
-    }
-    match std::env::var("FSR_ENGINE") {
-        Ok(v) => SimEngine::parse(&v)
-            .unwrap_or_else(|| panic!("unknown FSR_ENGINE `{v}` (scalar|soa|soa-chunked)")),
-        Err(_) => SimEngine::default(),
-    }
-}
-
 fn main() {
     let k = Knobs::from_env();
-    let engine = engine_from_args();
     let names_env =
         std::env::var("FSR_MATRIX_WORKLOADS").unwrap_or_else(|_| DEFAULT_WORKLOADS.into());
     let names: Vec<&str> = names_env.split(',').map(str::trim).collect();
     eprintln!(
-        "protocol_matrix: nproc={} scale={} block={} engine={engine} workloads={names:?}",
+        "protocol_matrix: nproc={} scale={} block={} workloads={names:?}",
         k.nproc, k.scale, BLOCK
     );
 
@@ -148,7 +123,6 @@ fn main() {
                 k.scale,
                 BLOCK,
                 k.threads,
-                engine,
                 &[protocol],
                 &[ic],
             );
@@ -210,13 +184,12 @@ fn main() {
     let body: Vec<String> = cells.iter().map(cell_json).collect();
     let json = format!(
         "{{\n  \"suite\": \"protocol_matrix\",\n  \"nproc\": {},\n  \"scale\": {},\n  \
-         \"block\": {},\n  \"engine\": {},\n  \"protocols\": [{}],\n  \
+         \"block\": {},\n  \"protocols\": [{}],\n  \
          \"interconnects\": [{}],\n  \"workloads\": [{}],\n  \"pair_timings\": [\n{}\n  ],\n  \
          \"cells\": [\n{}\n  ]\n}}\n",
         k.nproc,
         k.scale,
         BLOCK,
-        json_str(engine.name()),
         protos.join(", "),
         nets.join(", "),
         progs.join(", "),

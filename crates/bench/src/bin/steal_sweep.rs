@@ -8,12 +8,9 @@
 //! cache lane, so blocks that were single-writer under round-robin can
 //! become write-shared under stealing — this sweep measures how much.
 //!
-//! Two in-bin guarantees are asserted on every cell:
-//! - schedule determinism: the first work-steal seed is re-run through
-//!   the phase/bank-sharded engine (`ShardMode::Force(2)`) and must be
-//!   bit-identical to the serial run — every statistic, not roughly;
-//! - accounting closure: the interpreter's steal count equals the
-//!   timing model's applied steal joins.
+//! One in-bin guarantee is asserted on every cell: accounting closure,
+//! the interpreter's steal count equals the timing model's applied
+//! steal joins.
 //!
 //! Writes `BENCH_steal.json` (override with `FSR_BENCH_OUT`). With
 //! `--golden`, writes only machine-independent fields (this bin has no
@@ -22,7 +19,7 @@
 //! Knobs: `FSR_NPROC`, `FSR_SCALE` as usual.
 
 use fsr_bench::{Knobs, Table};
-use fsr_core::driver::{run_batch_sharded, Job, PlanSourceSpec, ShardMode};
+use fsr_core::driver::{run_batch, Job, PlanSourceSpec};
 use fsr_core::{InterconnectKind, PipelineConfig, ProtocolKind, RunResult, Schedule};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -30,7 +27,7 @@ use std::time::Instant;
 const BLOCK: u32 = 128;
 const WS_SEEDS: [u64; 2] = [1, 2];
 
-/// Each protocol on its natural interconnect (mirrors tests/shard.rs).
+/// Each protocol on its natural interconnect (mirrors tests/oracle.rs).
 const BACKENDS: [(ProtocolKind, InterconnectKind); 3] = [
     (ProtocolKind::Msi, InterconnectKind::Ksr2Ring),
     (ProtocolKind::Mesi, InterconnectKind::Bus),
@@ -48,7 +45,6 @@ fn run_cell(
     k: &Knobs,
     backend: (ProtocolKind, InterconnectKind),
     schedule: Schedule,
-    shard: ShardMode,
 ) -> RunResult {
     let job = Job::new(
         format!("{}/{:?}/{schedule:?}", w.name, backend.0),
@@ -57,7 +53,7 @@ fn run_cell(
         PlanSourceSpec::Unoptimized,
         cell_cfg(backend, schedule),
     );
-    let mut out = run_batch_sharded(vec![job], 1, shard);
+    let mut out = run_batch(vec![job], 1);
     let (key, r) = out.remove(0);
     r.unwrap_or_else(|e| panic!("{}: {e:?}", key.meta))
 }
@@ -81,7 +77,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for w in fsr_workloads::all() {
         for backend in BACKENDS {
-            let rr = run_cell(&w, &k, backend, Schedule::RoundRobin, ShardMode::Off);
+            let rr = run_cell(&w, &k, backend, Schedule::RoundRobin);
             assert_eq!(
                 rr.interp.steals, 0,
                 "{}: round-robin must not steal",
@@ -89,27 +85,13 @@ fn main() {
             );
             assert_eq!(rr.timing.steal_joins, 0, "{}: rr steal joins", w.name);
             let mut ws = Vec::new();
-            for (i, &seed) in WS_SEEDS.iter().enumerate() {
-                let sched = Schedule::WorkSteal { seed };
-                let r = run_cell(&w, &k, backend, sched, ShardMode::Off);
+            for &seed in &WS_SEEDS {
+                let r = run_cell(&w, &k, backend, Schedule::WorkSteal { seed });
                 assert_eq!(
                     r.interp.steals, r.timing.steal_joins,
                     "{}/{:?}/seed {seed}: interpreter steals vs timing joins",
                     w.name, backend.0
                 );
-                if i == 0 {
-                    // Schedule determinism: the sharded engine must
-                    // reproduce the serial work-steal run exactly.
-                    let sharded = run_cell(&w, &k, backend, sched, ShardMode::Force(2));
-                    assert_eq!(r.sim, sharded.sim, "{}: sharded sim diverged", w.name);
-                    assert_eq!(r.timing, sharded.timing, "{}: sharded timing", w.name);
-                    assert_eq!(r.interp, sharded.interp, "{}: sharded interp", w.name);
-                    assert_eq!(
-                        r.exec_cycles, sharded.exec_cycles,
-                        "{}: sharded exec cycles",
-                        w.name
-                    );
-                }
                 ws.push((seed, r.sim.false_sharing(), r.interp.steals));
             }
             rows.push(Row {

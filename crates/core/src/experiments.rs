@@ -20,7 +20,7 @@
 use crate::driver::{run_batch, Job, PlanSourceSpec};
 use crate::{
     run_pipeline, InterconnectKind, MissKind, ObjCoherence, PipelineConfig, PipelineError,
-    PlanSource, ProtocolKind, RunResult, SimEngine, SimStats,
+    PlanSource, ProtocolKind, RunResult, SimStats,
 };
 use fsr_machine::SpeedupCurve;
 use fsr_transform::ObjPlan;
@@ -131,7 +131,7 @@ pub fn run_workload(
 }
 
 /// One Figure 3 bar: miss rates split into false-sharing and other.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Row {
     pub program: String,
     pub block: u32,
@@ -206,7 +206,7 @@ pub fn figure3_on(
 
 /// Table 2 row: per-transformation attribution of the false-sharing
 /// reduction, as "apply only this class" ablations.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     pub program: String,
     /// Coherence protocol the ablation was simulated under.
@@ -394,7 +394,7 @@ pub fn t1_unoptimized(w: &Workload, scale: i64, block: u32) -> Result<u64, Pipel
 }
 
 /// One Table 3 row.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     pub program: String,
     /// (max speedup, at #procs) per version; None when the version does
@@ -504,7 +504,7 @@ pub fn table3_on(
 /// §5 headline aggregate at one block size: fraction of all misses that
 /// are false sharing (unoptimized), fraction of those eliminated, and
 /// relative change in other misses.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Headline {
     pub block: u32,
     pub fs_share_of_misses: f64,
@@ -548,7 +548,7 @@ pub fn headline(nproc: i64, scale: i64, block: u32, threads: usize) -> Headline 
 
 /// One cell of the backend matrix: a (program, version, protocol,
 /// interconnect) run with its coherence-event observability.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell {
     pub program: String,
     pub version: String,
@@ -594,16 +594,13 @@ pub fn protocol_matrix(
         scale,
         block,
         threads,
-        SimEngine::default(),
         &ProtocolKind::ALL,
         &InterconnectKind::ALL,
     )
 }
 
-/// [`protocol_matrix`] generalized over the simulator engine and an
-/// explicit (protocol, interconnect) subset — the unit the matrix bench
-/// times per backend pair, and the sweep `bench_simd` replays per
-/// engine to prove the engines bit-identical at scale.
+/// [`protocol_matrix`] over an explicit (protocol, interconnect) subset
+/// — the unit the matrix bench times per backend pair.
 #[allow(clippy::too_many_arguments)]
 pub fn protocol_matrix_cells(
     programs: &[&str],
@@ -612,7 +609,6 @@ pub fn protocol_matrix_cells(
     scale: i64,
     block: u32,
     threads: usize,
-    engine: SimEngine,
     protocols: &[ProtocolKind],
     interconnects: &[InterconnectKind],
 ) -> Vec<MatrixCell> {
@@ -636,9 +632,7 @@ pub fn protocol_matrix_cells(
                         src: src.clone(),
                         params: std_params(nproc, scale),
                         plan: plan_spec(w, v),
-                        cfg: PipelineConfig::with_block(block)
-                            .with_backends(protocol, ic)
-                            .with_engine(engine),
+                        cfg: PipelineConfig::with_block(block).with_backends(protocol, ic),
                     });
                 }
             }
@@ -667,7 +661,7 @@ pub fn protocol_matrix_cells(
 /// One cell of the directory ablation: a (program, version, backend)
 /// run reduced to the miss taxonomy and the cost counters that differ
 /// across coherence substrates.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct AblationRow {
     pub program: String,
     pub version: String,

@@ -36,13 +36,13 @@ pub use fsr_machine::{
 };
 pub use fsr_sim::{
     report::{ObjCoherence, ObjMisses},
-    CacheConfig, CoherenceEvent, CoherenceProtocol, MissKind, ProtocolKind, SimEngine, SimStats,
+    CacheConfig, CoherenceEvent, CoherenceProtocol, MissKind, ProtocolKind, SimStats,
 };
 pub use fsr_transform::{LayoutPlan, ObjPlan, PlanConfig};
 
 use fsr_interp::{MemRef, RunStats, TraceEvent, TraceSink};
 use fsr_machine::TimingModel;
-use fsr_sim::{BankedSim, Outcome, CHUNK_LANES};
+use fsr_sim::{MultiSim, Outcome, CHUNK_LANES};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -87,9 +87,6 @@ pub struct PipelineConfig {
     pub machine: MachineConfig,
     pub run: RunConfig,
     pub plan_cfg: PlanConfig,
-    /// Simulator hot-path engine (see [`SimEngine`]). Every engine is
-    /// bit-identical; the default is the chunked SoA path.
-    pub engine: SimEngine,
 }
 
 impl Default for PipelineConfig {
@@ -102,7 +99,6 @@ impl Default for PipelineConfig {
             machine: MachineConfig::default(),
             run: RunConfig::default(),
             plan_cfg: PlanConfig::default(),
-            engine: SimEngine::default(),
         }
     }
 }
@@ -122,12 +118,6 @@ impl PipelineConfig {
     pub fn with_backends(mut self, protocol: ProtocolKind, ic: InterconnectKind) -> PipelineConfig {
         self.protocol = protocol;
         self.machine.interconnect = ic;
-        self
-    }
-
-    /// Select the simulator engine, leaving every other knob alone.
-    pub fn with_engine(mut self, engine: SimEngine) -> PipelineConfig {
-        self.engine = engine;
         self
     }
 }
@@ -242,10 +232,10 @@ pub fn resolve_nproc(prog: &Program) -> Result<u32, PipelineError> {
     Ok(fsr_analysis::require_nproc(prog)? as u32)
 }
 
-/// Fixed-width lane buffer for the chunked engine: references
+/// Fixed-width lane buffer for the chunked replay: references
 /// accumulate here until [`CHUNK_LANES`] are pending (or a
 /// synchronization event forces a flush), then replay as one batch
-/// through [`BankedSim::access_chunk`] + `TimingModel::record_chunk`.
+/// through [`MultiSim::access_chunk`] + `TimingModel::record_chunk`.
 struct ChunkBuf {
     len: usize,
     pid: [u8; CHUNK_LANES],
@@ -273,29 +263,26 @@ impl ChunkBuf {
 /// so queue pressure can be attributed per object alongside the
 /// simulator's coherence events.
 struct PipelineSink {
-    sim: BankedSim,
+    sim: MultiSim,
     timing: TimingModel,
     block_queue: Vec<u64>,
-    engine: SimEngine,
     chunk: ChunkBuf,
 }
 
 impl PipelineSink {
-    fn new(sim: BankedSim, timing: TimingModel, engine: SimEngine) -> PipelineSink {
+    fn new(sim: MultiSim, timing: TimingModel) -> PipelineSink {
         let nblocks = sim.num_blocks() as usize;
         PipelineSink {
             sim,
             timing,
             block_queue: vec![0; nblocks],
-            engine,
             chunk: ChunkBuf::new(),
         }
     }
 
     /// Replay every buffered reference: one lane-parallel simulator
     /// batch, then one fused timing pass over the outcome stream. A
-    /// no-op when nothing is buffered (and always, on the per-reference
-    /// engines, which never buffer).
+    /// no-op when nothing is buffered.
     fn flush_chunk(&mut self) {
         let PipelineSink {
             sim,
@@ -339,9 +326,8 @@ impl PipelineSink {
         mut name_of: impl FnMut(u32) -> Option<String>,
     ) -> RunResult {
         self.flush_chunk();
-        let per_obj = fsr_sim::report::attribute_misses_banked(&self.sim, &mut name_of);
-        let mut per_obj_coherence =
-            fsr_sim::report::attribute_coherence_banked(&self.sim, &mut name_of);
+        let per_obj = fsr_sim::report::attribute_misses(&self.sim, &mut name_of);
+        let mut per_obj_coherence = fsr_sim::report::attribute_coherence(&self.sim, &mut name_of);
         let bb = self.sim.block_bytes();
         for (b, &q) in self.block_queue.iter().enumerate() {
             if q == 0 {
@@ -351,7 +337,7 @@ impl PipelineSink {
             per_obj_coherence.entry(name).or_default().queue_stall += q;
         }
         let mut per_obj_refs: BTreeMap<String, u64> = BTreeMap::new();
-        for (b, n) in self.sim.per_block_refs().into_iter().enumerate() {
+        for (b, &n) in self.sim.per_block_refs().iter().enumerate() {
             if n == 0 {
                 continue;
             }
@@ -361,7 +347,7 @@ impl PipelineSink {
         RunResult {
             nproc,
             plan,
-            sim: self.sim.stats(),
+            sim: self.sim.stats().clone(),
             per_obj,
             per_obj_coherence,
             per_obj_refs,
@@ -375,24 +361,16 @@ impl PipelineSink {
 
 impl TraceSink for PipelineSink {
     fn access(&mut self, r: MemRef) {
-        if self.engine.chunked() {
-            let i = self.chunk.len;
-            self.chunk.pid[i] = r.pid;
-            self.chunk.addr[i] = r.addr;
-            self.chunk.gap[i] = r.gap;
-            if r.write {
-                self.chunk.write |= 1 << i;
-            }
-            self.chunk.len = i + 1;
-            if self.chunk.len == CHUNK_LANES {
-                self.flush_chunk();
-            }
-            return;
+        let i = self.chunk.len;
+        self.chunk.pid[i] = r.pid;
+        self.chunk.addr[i] = r.addr;
+        self.chunk.gap[i] = r.gap;
+        if r.write {
+            self.chunk.write |= 1 << i;
         }
-        let outcome = self.sim.access_with(self.engine, r.pid, r.addr, r.write);
-        let cost = self.timing.record(r.pid, r.gap, &outcome);
-        if cost.queue > 0 {
-            self.block_queue[(r.addr / self.sim.block_bytes()) as usize] += cost.queue;
+        self.chunk.len = i + 1;
+        if self.chunk.len == CHUNK_LANES {
+            self.flush_chunk();
         }
     }
 
@@ -473,9 +451,8 @@ pub fn run_pipeline_checked(
         protocol: cfg.protocol,
     };
     let mut sink = PipelineSink::new(
-        BankedSim::new(sim_cfg, layout.total_words() * 4, 1),
+        MultiSim::new(sim_cfg, layout.total_words() * 4),
         TimingModel::new(cfg.machine, nproc),
-        cfg.engine,
     );
     let fin = fsr_interp::run(prog, &layout, &code, cfg.run, &mut sink)?;
 
@@ -487,11 +464,10 @@ pub fn run_pipeline_checked(
 }
 
 /// A reference trace recorded once through the front half of the
-/// pipeline (parse, plan, lay out, interpret), ready to replay through
-/// [`replay_trace`] any number of times. The trace depends on the
+/// pipeline (parse, plan, lay out, interpret). The trace depends on the
 /// program, its parameters, and the layout plan — never on the
-/// coherence protocol, interconnect, or simulator engine — so one
-/// recording serves every backend and engine combination.
+/// coherence protocol or interconnect — so one recording serves every
+/// backend combination.
 pub struct RecordedTrace {
     pub events: Vec<TraceEvent>,
     pub nproc: u32,
@@ -500,22 +476,10 @@ pub struct RecordedTrace {
     pub interp: RunStats,
 }
 
-impl RecordedTrace {
-    /// Memory references in the trace (excluding sync/handoff events).
-    pub fn num_refs(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Access(_)))
-            .count()
-    }
-}
-
 /// Run the front half of the pipeline once and capture the reference
-/// trace instead of simulating it. Pair with [`replay_trace`] to
-/// measure the simulation + timing back half in isolation: the
-/// interpreter's work is identical for every engine, so timing only
-/// the replay isolates exactly the code an engine selection changes
-/// (this is `bench_simd`'s measurement path).
+/// trace instead of simulating it (the trace-backed lint refinement's
+/// conflict witnesses, and the scalar reference replay of the
+/// equivalence tests).
 pub fn record_trace(
     prog: &Program,
     plan_source: PlanSource,
@@ -550,48 +514,6 @@ pub fn record_trace(
         addr_space_bytes: layout.total_words() * 4,
         interp: fin.stats,
     })
-}
-
-/// What one trace replay produced — the backend-dependent half of a
-/// [`RunResult`], for cross-engine equivalence assertions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayResult {
-    pub sim: SimStats,
-    pub exec_cycles: u64,
-    pub fs_stall_frac: f64,
-}
-
-/// Replay a recorded trace through the simulation + timing back half
-/// of the pipeline, exactly as [`run_pipeline`] would have driven it
-/// (same sink path, chunked buffering included), honoring
-/// `cfg`'s protocol, interconnect, and engine selection.
-pub fn replay_trace(trace: &RecordedTrace, cfg: &PipelineConfig) -> ReplayResult {
-    let sim_cfg = fsr_sim::CacheConfig {
-        nproc: trace.nproc,
-        block_bytes: cfg.block_bytes,
-        cache_bytes: cfg.cache_bytes,
-        assoc: cfg.assoc,
-        protocol: cfg.protocol,
-    };
-    let mut sink = PipelineSink::new(
-        BankedSim::new(sim_cfg, trace.addr_space_bytes, 1),
-        TimingModel::new(cfg.machine, trace.nproc),
-        cfg.engine,
-    );
-    for e in &trace.events {
-        match e {
-            TraceEvent::Access(r) => sink.access(*r),
-            TraceEvent::Sync(pids) => TraceSink::sync(&mut sink, pids),
-            TraceEvent::Handoff { from, to } => TraceSink::handoff(&mut sink, *from, *to),
-            TraceEvent::Steal { thief, victim } => TraceSink::steal(&mut sink, *thief, *victim),
-        }
-    }
-    sink.flush_chunk();
-    ReplayResult {
-        sim: sink.sim.stats(),
-        exec_cycles: sink.timing.finish_time(),
-        fs_stall_frac: sink.timing.false_sharing_stall_fraction(),
-    }
 }
 
 #[cfg(test)]

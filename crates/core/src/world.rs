@@ -34,7 +34,7 @@
 //! results so a long-lived daemon (`fsr-serve`) performs zero new
 //! interpreter passes for repeated work.
 
-use crate::driver::{self, BatchStats, Job, JobResults, ShardMode};
+use crate::driver::{self, BatchStats, Job, JobResults};
 use crate::{PipelineError, RunResult};
 use fsr_interp::{RunConfig, RunStats, TraceEvent};
 use fsr_lang::ast::{ElemTy, FieldId, ObjectKind};
@@ -217,7 +217,6 @@ pub(crate) struct RunCounters {
     pub analyses: AtomicUsize,
     pub interpretations: AtomicUsize,
     pub trace_hits: AtomicUsize,
-    pub segments: AtomicU64,
 }
 
 #[derive(Default)]
@@ -659,22 +658,20 @@ impl Snapshot {
         jobs: Vec<Job<M>>,
         threads: usize,
     ) -> JobResults<M> {
-        self.run_batch_sharded_with_stats(jobs, threads, ShardMode::Auto)
-            .0
+        self.run_batch_with_stats(jobs, threads).0
     }
 
-    /// [`crate::driver::run_batch_sharded_with_stats`] on this world's
-    /// caches: repeated identical jobs are served from the result cache
-    /// (zero interpreter passes), units matching a recorded trace are
-    /// replayed without re-interpreting, and everything else runs the
-    /// full engine — bit-identical to the transient path throughout.
-    pub fn run_batch_sharded_with_stats<M: Sync + fmt::Debug>(
+    /// [`crate::driver::run_batch_with_stats`] on this world's caches:
+    /// repeated identical jobs are served from the result cache (zero
+    /// interpreter passes), units matching a recorded trace are replayed
+    /// without re-interpreting, and everything else runs the full engine
+    /// — bit-identical to the transient path throughout.
+    pub fn run_batch_with_stats<M: Sync + fmt::Debug>(
         &self,
         jobs: Vec<Job<M>>,
         threads: usize,
-        shard: ShardMode,
     ) -> (JobResults<M>, BatchStats) {
-        driver::run_batch_in(&self.caches, jobs, threads, shard, None)
+        driver::run_batch_in(&self.caches, jobs, threads, None)
     }
 
     /// Streaming variant: `notify` fires exactly once per job, from the
@@ -684,10 +681,9 @@ impl Snapshot {
         &self,
         jobs: Vec<Job<M>>,
         threads: usize,
-        shard: ShardMode,
         notify: driver::BatchNotify<'_>,
     ) -> (JobResults<M>, BatchStats) {
-        driver::run_batch_in(&self.caches, jobs, threads, shard, Some(notify))
+        driver::run_batch_in(&self.caches, jobs, threads, Some(notify))
     }
 }
 
@@ -734,18 +730,10 @@ mod tests {
         let world = World::new();
         let snap = world.snapshot();
         let src: Arc<str> = Arc::from(COUNTERS);
-        let (cold, s1) = snap.run_batch_sharded_with_stats(
-            vec![job(&src, 32), job(&src, 64)],
-            1,
-            ShardMode::Off,
-        );
+        let (cold, s1) = snap.run_batch_with_stats(vec![job(&src, 32), job(&src, 64)], 1);
         assert_eq!(s1.result_hits, 0);
         assert_eq!(s1.interpretations, 1);
-        let (warm, s2) = snap.run_batch_sharded_with_stats(
-            vec![job(&src, 32), job(&src, 64)],
-            1,
-            ShardMode::Off,
-        );
+        let (warm, s2) = snap.run_batch_with_stats(vec![job(&src, 32), job(&src, 64)], 1);
         assert_eq!(s2.result_hits, 2, "whole batch served from cache");
         assert_eq!(s2.interpretations, 0);
         assert_eq!(s2.front_ends, 0);

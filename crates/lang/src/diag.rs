@@ -3,19 +3,7 @@
 use std::fmt;
 
 /// A byte range in the original source text, used to locate diagnostics.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Span {
     pub start: u32,
     pub end: u32,
@@ -108,7 +96,7 @@ impl std::error::Error for Error {}
 
 /// How serious a [`Diagnostic`] is. Errors abort compilation; warnings
 /// accumulate and are reported together (lint passes emit warnings).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     Warning,
     Error,
@@ -126,7 +114,7 @@ impl fmt::Display for Severity {
 /// Stable diagnostic codes. The `FSR-Wxxx` identifiers are part of the
 /// tool's external interface (golden lint reports, CI filters); never
 /// renumber an existing code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// Two processes may access the same location in the same phase, at
     /// least one writing, with no common lock held.

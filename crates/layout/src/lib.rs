@@ -719,7 +719,7 @@ impl Layout {
     /// becomes the trace `other` would produce by rewriting each address
     /// through this map. The batched driver exploits that to interpret a
     /// program once per (source, run config) and replay the stream into
-    /// every direct-only layout variant's simulator bank.
+    /// every direct-only layout variant's simulators.
     ///
     /// Returns `None` when the two layouts are not translation
     /// compatible: different element geometry (they were built from

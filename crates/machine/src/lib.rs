@@ -38,9 +38,7 @@ use fsr_sim::{MissKind, Outcome};
 /// Which interconnect topology the timing model replays against. A
 /// plain selector enum so machine configurations stay `Copy`; resolved
 /// to a `&'static dyn Interconnect` at model construction.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum InterconnectKind {
     #[default]
     /// KSR2-like two-level ring hierarchy (the paper's machine).
@@ -77,7 +75,7 @@ impl InterconnectKind {
 }
 
 /// Machine parameters (defaults approximate the KSR2).
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
     /// Processors per ring (KSR2: 32 per ring, two rings for 56 procs).
     /// Only the ring topology reads this; the bus has one channel and
@@ -368,7 +366,7 @@ impl Interconnect for HomeDir {
 }
 
 /// Cycle accounting per processor plus stall attribution.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimingStats {
     /// Busy (compute + cache hit) cycles, per processor.
     pub busy: Vec<u64>,
@@ -614,36 +612,18 @@ impl TimingModel {
     }
 
     /// Capture the model's *dynamic* state — processor clocks and
-    /// channel next-free times — so a trace replay can stop at a phase
-    /// boundary and resume later with exact channel-occupancy carryover.
-    /// Cumulative statistics are not part of the snapshot: they only
-    /// ever accumulate, so stopping and resuming never rewinds them.
+    /// channel next-free times — so two replays of one stream can be
+    /// compared beyond their cumulative statistics.
     pub fn snapshot(&self) -> TimingSnapshot {
         TimingSnapshot {
             proc_time: self.proc_time.clone(),
             chan_free: self.chan_free.clone(),
         }
     }
-
-    /// Restore clocks and channel occupancy captured by
-    /// [`TimingModel::snapshot`]. Replaying a trace in phase segments
-    /// with snapshot/restore at each boundary is bit-identical to one
-    /// uninterrupted replay — dropping `chan_free` instead would forget
-    /// in-flight occupancy and shrink queueing delays across the split.
-    pub fn restore(&mut self, snap: &TimingSnapshot) {
-        assert_eq!(snap.proc_time.len(), self.proc_time.len(), "nproc changed");
-        assert_eq!(
-            snap.chan_free.len(),
-            self.chan_free.len(),
-            "channels changed"
-        );
-        self.proc_time.clone_from(&snap.proc_time);
-        self.chan_free.clone_from(&snap.chan_free);
-    }
 }
 
-/// Dynamic timing state at a phase boundary: per-processor clocks and
-/// per-channel next-free times (see [`TimingModel::snapshot`]).
+/// Dynamic timing state: per-processor clocks and per-channel next-free
+/// times (see [`TimingModel::snapshot`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimingSnapshot {
     pub proc_time: Vec<u64>,
@@ -651,7 +631,7 @@ pub struct TimingSnapshot {
 }
 
 /// A speedup curve: execution times per processor count.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SpeedupCurve {
     pub points: Vec<(u32, u64)>,
 }
@@ -1089,34 +1069,6 @@ mod tests {
     }
 
     #[test]
-    fn split_replay_with_snapshot_restore_matches_whole() {
-        for cfg in [MachineConfig::default(), bus_cfg(), dir_cfg()] {
-            let stream = contended_stream(8, 200);
-            let mut whole = TimingModel::new(cfg, 8);
-            for (pid, gap, o) in &stream {
-                whole.record(*pid, *gap, o);
-            }
-            whole.sync(&(0..8).collect::<Vec<_>>());
-
-            // Same stream replayed in three segments, carrying the
-            // dynamic state across a fresh model each time (what the
-            // phase-sharded driver does between barrier segments).
-            let mut snap = TimingModel::new(cfg, 8).snapshot();
-            let mut stats_holder = TimingModel::new(cfg, 8);
-            for chunk in stream.chunks(70) {
-                stats_holder.restore(&snap);
-                for (pid, gap, o) in chunk {
-                    stats_holder.record(*pid, *gap, o);
-                }
-                snap = stats_holder.snapshot();
-            }
-            stats_holder.sync(&(0..8).collect::<Vec<_>>());
-            assert_eq!(whole.finish_time(), stats_holder.finish_time());
-            assert_eq!(whole.snapshot(), stats_holder.snapshot());
-        }
-    }
-
-    #[test]
     fn record_chunk_matches_per_reference_record() {
         for cfg in [MachineConfig::default(), bus_cfg(), dir_cfg()] {
             // Mix hits in among the contended misses so the chunked hit
@@ -1153,35 +1105,5 @@ mod tests {
             assert_eq!(serial.finish_time(), chunked.finish_time());
             assert_eq!(serial_costs, chunk_costs);
         }
-    }
-
-    #[test]
-    fn dropping_channel_carryover_changes_queueing() {
-        // The carryover matters: forgetting chan_free at a split point
-        // under-queues the resumed segment. High occupancy keeps the
-        // channel saturated, so the carryover is live at every split.
-        let cfg = MachineConfig {
-            miss_occupancy: 400,
-            ..Default::default()
-        };
-        let stream = contended_stream(8, 200);
-        let mut whole = TimingModel::new(cfg, 8);
-        let mut lossy = TimingModel::new(cfg, 8);
-        for (i, (pid, gap, o)) in stream.iter().enumerate() {
-            whole.record(*pid, *gap, o);
-            if i == 100 {
-                // Keep clocks, drop channel occupancy.
-                let mut snap = lossy.snapshot();
-                snap.chan_free.iter_mut().for_each(|c| *c = 0);
-                lossy.restore(&snap);
-            }
-            lossy.record(*pid, *gap, o);
-        }
-        assert!(
-            lossy.stats().total_queue() < whole.stats().total_queue(),
-            "dropping occupancy must shrink queueing ({} vs {})",
-            lossy.stats().total_queue(),
-            whole.stats().total_queue()
-        );
     }
 }

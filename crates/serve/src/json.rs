@@ -1,8 +1,8 @@
 //! A minimal JSON value, parser and writer for the wire protocol.
 //!
-//! The workspace's vendored `serde` is a no-op marker-trait stand-in
-//! (see DESIGN.md §7), so the daemon carries its own ~200-line
-//! recursive-descent parser instead. Only what newline-delimited
+//! The workspace builds offline with no serialization crate (see
+//! DESIGN.md §7), so the daemon carries its own ~200-line
+//! recursive-descent parser. Only what newline-delimited
 //! JSON-RPC needs: the seven value shapes, `\u` escapes with surrogate
 //! pairs, and a writer whose output is deterministic (object key order
 //! is insertion order; floats use Rust's shortest-roundtrip `Display`).

@@ -11,8 +11,9 @@ use crate::json::Value;
 use fsr_core::driver::{BatchStats, PlanSourceSpec};
 use fsr_core::{
     CacheStats, CoherenceEvent, Evicted, InterconnectKind, LayoutPlan, MissKind, ObjPlan,
-    PipelineConfig, PipelineError, Program, ProtocolKind, RunResult, Schedule, SimEngine,
+    PipelineConfig, PipelineError, Program, ProtocolKind, RunResult, Schedule,
 };
+use std::fmt;
 
 /// One parsed request line. `id` is echoed verbatim in the response;
 /// requests without an id still get a response with `"id": null`.
@@ -317,25 +318,91 @@ fn parse_schedule(v: &Value) -> Result<Schedule, String> {
     }
 }
 
+/// The keys `config` accepts on the wire.
+pub const CONFIG_KEYS: [&str; 8] = [
+    "block",
+    "cache_bytes",
+    "assoc",
+    "protocol",
+    "interconnect",
+    "seed",
+    "max_steps",
+    "schedule",
+];
+
+/// Why a request's `config` was refused: a mistyped knob is an error
+/// that says what the daemon accepts, never a silent default.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `config` is present but not an object (the rendered value).
+    NotAnObject(String),
+    /// A key outside [`CONFIG_KEYS`].
+    UnknownKey(String),
+    /// An accepted key with a value of the wrong type or an unknown name.
+    BadValue(String),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::NotAnObject(v) => write!(f, "`config` must be an object, got {v}"),
+            ConfigError::UnknownKey(k) => write!(
+                f,
+                "unknown config key `{k}` (accepted: {})",
+                CONFIG_KEYS.join(", ")
+            ),
+            ConfigError::BadValue(m) => f.write_str(m),
+        }
+    }
+}
+
+impl From<&str> for ConfigError {
+    fn from(m: &str) -> ConfigError {
+        ConfigError::BadValue(m.to_string())
+    }
+}
+
+impl From<String> for ConfigError {
+    fn from(m: String) -> ConfigError {
+        ConfigError::BadValue(m)
+    }
+}
+
+impl From<ConfigError> for String {
+    fn from(e: ConfigError) -> String {
+        e.to_string()
+    }
+}
+
 /// `config` on the wire: a flat object over the pipeline's axes. Every
-/// key is optional; omitted keys take [`PipelineConfig`] defaults.
+/// key is optional; omitted keys take [`PipelineConfig`] defaults, and
+/// an absent or `null` config is all defaults.
 ///
 /// ```json
 /// {"block": 128, "cache_bytes": 32768, "assoc": 4,
 ///  "protocol": "msi", "interconnect": "ksr2-ring",
-///  "engine": "soa-chunked", "seed": 1592510158, "max_steps": 2000000000,
+///  "seed": 1592510158, "max_steps": 2000000000,
 ///  "schedule": {"kind": "work_steal", "seed": 7}}
 /// ```
-pub fn parse_config(v: Option<&Value>) -> Result<PipelineConfig, String> {
-    let block = match v.and_then(|v| v.get("block")) {
+pub fn parse_config(v: Option<&Value>) -> Result<PipelineConfig, ConfigError> {
+    let v = match v {
+        None | Some(Value::Null) => return Ok(PipelineConfig::with_block(128)),
+        Some(v) => v,
+    };
+    let fields = v
+        .as_obj()
+        .ok_or_else(|| ConfigError::NotAnObject(v.to_string()))?;
+    if let Some((k, _)) = fields
+        .iter()
+        .find(|(k, _)| !CONFIG_KEYS.contains(&k.as_str()))
+    {
+        return Err(ConfigError::UnknownKey(k.clone()));
+    }
+    let block = match v.get("block") {
         Some(b) => b.as_i64().ok_or("`block` must be an integer")? as u32,
         None => 128,
     };
     let mut cfg = PipelineConfig::with_block(block);
-    let v = match v {
-        Some(v) => v,
-        None => return Ok(cfg),
-    };
     if let Some(c) = v.get("cache_bytes") {
         cfg.cache_bytes = c.as_i64().ok_or("`cache_bytes` must be an integer")? as u32;
     }
@@ -348,10 +415,6 @@ pub fn parse_config(v: Option<&Value>) -> Result<PipelineConfig, String> {
     if let Some(i) = v.get("interconnect") {
         cfg.machine.interconnect =
             parse_interconnect(i.as_str().ok_or("`interconnect` must be a string")?)?;
-    }
-    if let Some(e) = v.get("engine") {
-        let name = e.as_str().ok_or("`engine` must be a string")?;
-        cfg.engine = SimEngine::parse(name).ok_or_else(|| format!("unknown engine `{name}`"))?;
     }
     if let Some(s) = v.get("seed") {
         cfg.run.seed = s.as_i64().ok_or("`seed` must be an integer")? as u64;
@@ -396,7 +459,7 @@ mod tests {
         let v = crate::json::parse(
             r#"{"block": 64, "cache_bytes": 16384, "assoc": 2,
                 "protocol": "directory", "interconnect": "home-dir",
-                "engine": "scalar", "seed": 99, "max_steps": 1000,
+                "seed": 99, "max_steps": 1000,
                 "schedule": {"kind": "work_steal", "seed": 7}}"#,
         )
         .unwrap();
@@ -407,7 +470,6 @@ mod tests {
         assert_eq!(cfg.assoc, 2);
         assert_eq!(cfg.protocol, ProtocolKind::Directory);
         assert_eq!(cfg.machine.interconnect, InterconnectKind::HomeDir);
-        assert_eq!(cfg.engine, SimEngine::Scalar);
         assert_eq!(cfg.run.seed, 99);
         assert_eq!(cfg.run.max_steps, 1000);
         assert_eq!(cfg.run.schedule, Schedule::WorkSteal { seed: 7 });
@@ -415,9 +477,42 @@ mod tests {
         let d = parse_config(None).unwrap();
         assert_eq!(d.block_bytes, PipelineConfig::default().block_bytes);
         assert_eq!(d.run.schedule, Schedule::RoundRobin);
+        assert_eq!(
+            parse_config(Some(&Value::Null)).unwrap().block_bytes,
+            d.block_bytes
+        );
         // Unknown names are errors, not silent defaults.
         let bad = crate::json::parse(r#"{"protocol": "moesi"}"#).unwrap();
-        assert!(parse_config(Some(&bad)).is_err());
+        assert_eq!(
+            parse_config(Some(&bad)).unwrap_err(),
+            ConfigError::BadValue("unknown protocol `moesi`".to_string())
+        );
+    }
+
+    #[test]
+    fn config_rejects_unknown_keys_and_non_objects() {
+        for (text, want) in [
+            // There is one simulator engine; a client still choosing one
+            // must hear that its choice is not applied.
+            (
+                r#"{"engine": "scalar"}"#,
+                ConfigError::UnknownKey("engine".into()),
+            ),
+            // A typo must not run the default 32 KB cache.
+            (
+                r#"{"block": 64, "cache_byte": 1}"#,
+                ConfigError::UnknownKey("cache_byte".into()),
+            ),
+            ("5", ConfigError::NotAnObject("5".into())),
+        ] {
+            let v = crate::json::parse(text).unwrap();
+            assert_eq!(parse_config(Some(&v)).unwrap_err(), want, "{text}");
+        }
+        let msg = ConfigError::UnknownKey("cache_byte".into()).to_string();
+        assert!(msg.contains("`cache_byte`"), "{msg}");
+        for key in CONFIG_KEYS {
+            assert!(msg.contains(key), "{msg} lists {key}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::proto::{
     self, batch_stats_json, cache_stats_json, error_response, evicted_json, notification,
     pipeline_error_json, response, run_result_json, Request,
 };
-use fsr_core::driver::{Job, ShardMode};
+use fsr_core::driver::Job;
 use fsr_core::{PipelineError, PlanSource, RunResult, Snapshot, World};
 use std::io::{BufRead, Write};
 use std::sync::Mutex;
@@ -272,8 +272,7 @@ impl Server {
         let job = Self::job_of(&snapshot, params, ())?;
         let src = job.src.clone();
         let job_params = job.params.clone();
-        let (mut results, stats) =
-            snapshot.run_batch_sharded_with_stats(vec![job], 1, ShardMode::Auto);
+        let (mut results, stats) = snapshot.run_batch_with_stats(vec![job], 1);
         let (_, result) = results.remove(0);
         let r = result.map_err(|e| pipeline_error_json(&e, &src).to_string())?;
         // The run succeeded, so the front end is warm in the cache; it
@@ -320,8 +319,7 @@ impl Server {
             }
             out.line(&notification("cell", Value::Obj(fields)));
         };
-        let (results, stats) =
-            snapshot.run_batch_streaming(jobs, threads, ShardMode::Auto, &notify);
+        let (results, stats) = snapshot.run_batch_streaming(jobs, threads, &notify);
         let mut cells = Vec::with_capacity(results.len());
         for (job, result) in results {
             let i = job.meta;

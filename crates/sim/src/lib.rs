@@ -53,9 +53,7 @@ pub mod report;
 /// configurations stay `Copy + Eq + Hash` (the batched driver groups
 /// jobs by config); resolved to a `&'static dyn CoherenceProtocol` at
 /// simulator construction.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     #[default]
     /// Write-invalidate MSI — the paper's simulated substrate.
@@ -96,7 +94,7 @@ impl ProtocolKind {
 }
 
 /// Simulator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     pub nproc: u32,
     /// Coherence block size in bytes (power of two, 4..=256 typical).
@@ -136,7 +134,7 @@ impl CacheConfig {
 }
 
 /// Miss cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MissKind {
     Cold = 0,
     Replacement = 1,
@@ -169,7 +167,7 @@ impl MissKind {
 /// Coherence event class, for per-object observability. These count
 /// protocol *transactions and their consequences*, not misses: one
 /// upgrade may cause several invalidations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoherenceEvent {
     /// A remote copy was invalidated (by an upgrade or a write miss).
     Invalidation = 0,
@@ -229,7 +227,7 @@ impl Outcome {
 }
 
 /// Aggregate statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
     pub refs: u64,
     pub reads: u64,
@@ -282,23 +280,6 @@ impl SimStats {
             CoherenceEvent::Intervention => self.interventions,
             CoherenceEvent::ExclusiveHit => self.exclusive_hits,
         }
-    }
-
-    /// Accumulate another simulator's counters into this one. Every
-    /// field is additive, so merging the per-bank statistics of a
-    /// [`BankedSim`] reproduces the unbanked totals exactly.
-    pub fn merge(&mut self, other: &SimStats) {
-        self.refs += other.refs;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        for (m, o) in self.misses.iter_mut().zip(&other.misses) {
-            *m += o;
-        }
-        self.upgrades += other.upgrades;
-        self.invalidations += other.invalidations;
-        self.interventions += other.interventions;
-        self.exclusive_hits += other.exclusive_hits;
-        self.dir_txns += other.dir_txns;
     }
 }
 
@@ -461,108 +442,14 @@ pub enum DirState {
     Exclusive,
 }
 
-/// How a simulator replays its reference stream. All three engines
-/// drive the *same* struct-of-arrays state through the *same*
-/// transition body ([`MultiSim::step`]), so results are bit-identical
-/// by construction; they differ only in how much per-reference work
-/// they amortize.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
-pub enum SimEngine {
-    /// One reference at a time through the full transition match — the
-    /// pre-vectorization baseline path.
-    Scalar,
-    /// One reference at a time, but probe-first over the SoA planes:
-    /// the dominant hit cases (read hits, Modified/Exclusive write
-    /// hits) are applied without entering the transition match.
-    Soa,
-    /// Buffer references into fixed-width chunks ([`CHUNK_LANES`]),
-    /// decode all lanes with `fsr-simdlite` array kernels, resolve
-    /// block/set conflicts, apply independent hit lanes in a single
-    /// probe pass with chunk-aggregated counters, and replay the rest
-    /// through [`MultiSim::step`] in lane order. The default engine.
-    #[default]
-    SoaChunked,
-}
-
-impl SimEngine {
-    pub const ALL: [SimEngine; 3] = [SimEngine::Scalar, SimEngine::Soa, SimEngine::SoaChunked];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            SimEngine::Scalar => "scalar",
-            SimEngine::Soa => "soa",
-            SimEngine::SoaChunked => "soa-chunked",
-        }
-    }
-
-    /// Parse a CLI/env spelling of an engine name.
-    pub fn parse(s: &str) -> Option<SimEngine> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(SimEngine::Scalar),
-            "soa" => Some(SimEngine::Soa),
-            "soa-chunked" | "soa_chunked" | "chunked" => Some(SimEngine::SoaChunked),
-            _ => None,
-        }
-    }
-
-    /// Whether this engine replays through the chunked batch path (and
-    /// therefore wants chunk-friendly bank counts — see
-    /// [`BankedSim::negotiate_banks`]).
-    pub fn chunked(self) -> bool {
-        matches!(self, SimEngine::SoaChunked)
-    }
-}
-
-impl fmt::Display for SimEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Width of one replay chunk: one lane per bit of a `u64` mask, so
 /// write flags, independence masks, and sharer ballots all fit machine
 /// words.
 pub const CHUNK_LANES: usize = 64;
 
-/// Engine-aware bank negotiation failed: no bank count > 1 satisfies
-/// both the banking invariant (`nbanks` divides `num_sets`) and the
-/// engine's chunk-friendliness constraint within the requested cap.
-/// Returned by [`BankedSim::negotiate_banks`] so callers that *forced*
-/// sharding fail loudly instead of silently degrading to one bank.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BankPlanError {
-    pub engine: SimEngine,
-    pub num_sets: u32,
-    pub cap: usize,
-}
-
-impl fmt::Display for BankPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "no usable bank split: engine `{}` needs a bank count that divides num_sets={}{} \
-             and no such count in 2..={} exists (only 1 bank fits; widen the cap, change the \
-             cache geometry, or accept unbanked replay)",
-            self.engine,
-            self.num_sets,
-            if self.engine.chunked() {
-                " and is a power of two (chunk lanes route to banks by mask)"
-            } else {
-                ""
-            },
-            self.cap,
-        )
-    }
-}
-
-impl std::error::Error for BankPlanError {}
-
 const NEVER: u64 = 0;
 
-/// One processor's cache (or, for a banked simulator, the slice of it
-/// whose sets belong to the bank — see [`MultiSim::new_bank`]).
+/// One processor's cache.
 ///
 /// Line state is struct-of-arrays: three parallel per-way planes
 /// (`tag`, `state`, `lru`), indexed `set * assoc + way`. Probing a set
@@ -571,7 +458,7 @@ const NEVER: u64 = 0;
 /// 8-byte LRU stamps — which is what makes the chunked replay's probe
 /// pass cache-friendly. A lane whose `state` is [`LineState::Invalid`]
 /// is empty; its `tag` is left in place on invalidation (see
-/// [`Cache::lose`]), which the chunked engine's conflict argument
+/// [`Cache::lose`]), which the chunked replay's conflict argument
 /// relies on: a stale tag never matches a *different* block, so an
 /// invalidation in one lane cannot change another block's probe.
 struct Cache {
@@ -579,39 +466,31 @@ struct Cache {
     tag: Vec<u32>,
     /// Per way: MSI/MESI line state.
     state: Vec<LineState>,
-    /// Per way: bank time of last touch, for LRU victim selection.
+    /// Per way: simulator time of last touch, for LRU victim selection.
     lru: Vec<u64>,
-    /// Sets of the *full* cache; the bank holds `num_sets / nbanks`.
     num_sets: u32,
     assoc: u32,
-    nbanks: u32,
-    /// Per owned block (bank-local slot): when and why this processor
-    /// last lost it.
+    /// Per block: when and why this processor last lost it.
     lost_time: Vec<u64>,
     lost_reason: Vec<LostReason>,
 }
 
 impl Cache {
-    fn new(cfg: &CacheConfig, nblocks_local: u32, nbanks: u32) -> Cache {
-        let ways = (cfg.num_sets() / nbanks * cfg.assoc) as usize;
+    fn new(cfg: &CacheConfig, nblocks: u32) -> Cache {
+        let ways = (cfg.num_sets() * cfg.assoc) as usize;
         Cache {
             tag: vec![u32::MAX; ways],
             state: vec![LineState::Invalid; ways],
             lru: vec![0; ways],
             num_sets: cfg.num_sets(),
             assoc: cfg.assoc,
-            nbanks,
-            lost_time: vec![NEVER; nblocks_local as usize],
-            lost_reason: vec![LostReason::None; nblocks_local as usize],
+            lost_time: vec![NEVER; nblocks as usize],
+            lost_reason: vec![LostReason::None; nblocks as usize],
         }
     }
 
     fn set_range(&self, block: u32) -> std::ops::Range<usize> {
-        // Blocks owned by a bank satisfy `block % nbanks == bank`, and
-        // `nbanks` divides `num_sets`, so `block % num_sets` is congruent
-        // to the bank index mod `nbanks`; dividing by `nbanks` maps the
-        // bank's sets bijectively onto its local storage.
-        let set = ((block % self.num_sets) / self.nbanks) as usize;
+        let set = (block % self.num_sets) as usize;
         set * self.assoc as usize..(set + 1) * self.assoc as usize
     }
 
@@ -639,51 +518,41 @@ impl Cache {
     }
 
     fn lose(&mut self, way: usize, time: u64, reason: LostReason) {
-        let b = (self.tag[way] / self.nbanks) as usize;
+        let b = self.tag[way] as usize;
         self.lost_time[b] = time;
         self.lost_reason[b] = reason;
         self.state[way] = LineState::Invalid;
     }
 }
 
-/// The multiprocessor simulator — either the whole address space
-/// (`nbanks == 1`, the default) or one address bank of it (see
-/// [`MultiSim::new_bank`] and [`BankedSim`]).
+/// The multiprocessor simulator.
 pub struct MultiSim {
     cfg: CacheConfig,
     protocol: &'static dyn CoherenceProtocol,
     caches: Vec<Cache>,
-    /// Directory: per owned block (bank-local slot), bitmask of sharers
-    /// and the modified or exclusive owner.
+    /// Directory: per block, bitmask of sharers and the modified or
+    /// exclusive owner.
     sharers: Vec<u64>,
     owner: Vec<u8>,
-    /// Per word of owned blocks: bank time of last write.
+    /// Per word: simulator time of last write.
     word_write_time: Vec<u64>,
-    /// Per owned block per kind: miss counts (for per-object attribution).
+    /// Per block per kind: miss counts (for per-object attribution).
     per_block_misses: Vec<[u32; MissKind::COUNT]>,
-    /// Per owned block per event class: coherence-event counts.
+    /// Per block per event class: coherence-event counts.
     per_block_events: Vec<[u32; CoherenceEvent::COUNT]>,
-    /// Per owned block: total references (hits and misses alike) —
-    /// protocol choice cannot change these, which the cross-backend
-    /// equivalence tests assert.
+    /// Per block: total references (hits and misses alike) — protocol
+    /// choice cannot change these, which the cross-backend equivalence
+    /// tests assert.
     per_block_refs: Vec<u64>,
     /// Cached `protocol.uses_home_directory()`: count home transactions.
     track_dir: bool,
-    /// Bank-local clock: advances once per access *routed to this bank*.
-    /// Every comparison the simulator makes (word clock vs. loss record,
-    /// LRU within a set) is between accesses of the same bank, so the
-    /// bank clock is order-isomorphic to the global clock and outcomes
-    /// are bit-identical to an unbanked run.
+    /// Advances once per access; every word clock, loss record and LRU
+    /// stamp is a reading of it.
     time: u64,
     stats: SimStats,
     block_shift: u32,
-    /// Which residue class of block indices this simulator owns.
-    bank: u32,
-    nbanks: u32,
     /// Words per coherence block (`block_bytes / 4`).
     wpb: u32,
-    /// Blocks across the whole address space (all banks together).
-    nblocks_global: u32,
 }
 
 const NO_OWNER: u8 = u8::MAX;
@@ -691,37 +560,14 @@ const NO_OWNER: u8 = u8::MAX;
 impl MultiSim {
     /// `addr_space_bytes` bounds the addresses that will be accessed.
     pub fn new(cfg: CacheConfig, addr_space_bytes: u32) -> MultiSim {
-        MultiSim::new_bank(cfg, addr_space_bytes, 0, 1)
-    }
-
-    /// Build bank `bank` of an `nbanks`-way address-banked simulator.
-    ///
-    /// The bank owns every block with `block % nbanks == bank` and must
-    /// receive exactly the accesses to those blocks, in program order.
-    /// `nbanks` must divide `cfg.num_sets()`: a cache set then maps
-    /// entirely into one bank, so eviction coupling (LRU, victim
-    /// selection) never crosses banks, and the per-bank clock preserves
-    /// every order/equality comparison the simulator makes. Driving all
-    /// banks of a [`BankedSim`] therefore yields outcomes and counters
-    /// bit-identical to one [`MultiSim::new`] over the same stream.
-    pub fn new_bank(cfg: CacheConfig, addr_space_bytes: u32, bank: u32, nbanks: u32) -> MultiSim {
         assert!(cfg.block_bytes.is_power_of_two() && cfg.block_bytes >= 4);
         assert!(cfg.nproc >= 1 && cfg.nproc <= 64);
-        assert!(nbanks >= 1 && bank < nbanks);
-        assert!(
-            cfg.num_sets().is_multiple_of(nbanks),
-            "nbanks {nbanks} must divide num_sets {}",
-            cfg.num_sets()
-        );
-        let nblocks_global = addr_space_bytes.div_ceil(cfg.block_bytes) + 1;
-        let nblocks = nblocks_global.div_ceil(nbanks);
+        let nblocks = addr_space_bytes.div_ceil(cfg.block_bytes) + 1;
         let wpb = cfg.block_bytes / 4;
         let protocol = cfg.protocol.protocol();
         MultiSim {
             protocol,
-            caches: (0..cfg.nproc)
-                .map(|_| Cache::new(&cfg, nblocks, nbanks))
-                .collect(),
+            caches: (0..cfg.nproc).map(|_| Cache::new(&cfg, nblocks)).collect(),
             sharers: vec![0; nblocks as usize],
             owner: vec![NO_OWNER; nblocks as usize],
             word_write_time: vec![NEVER; (nblocks * wpb) as usize],
@@ -732,36 +578,13 @@ impl MultiSim {
             time: 1,
             stats: SimStats::default(),
             block_shift: cfg.block_bytes.trailing_zeros(),
-            bank,
-            nbanks,
             wpb,
-            nblocks_global,
             cfg,
         }
     }
 
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
-    }
-
-    /// Which residue class of block indices this simulator owns.
-    pub fn bank_index(&self) -> u32 {
-        self.bank
-    }
-
-    pub fn num_banks(&self) -> u32 {
-        self.nbanks
-    }
-
-    /// Whether an access to `block` must be routed to this bank.
-    pub fn owns_block(&self, block: u32) -> bool {
-        block % self.nbanks == self.bank
-    }
-
-    /// Bank-local storage slot of an owned block.
-    fn slot(&self, block: u32) -> usize {
-        debug_assert!(self.owns_block(block));
-        (block / self.nbanks) as usize
     }
 
     pub fn protocol(&self) -> &'static dyn CoherenceProtocol {
@@ -773,41 +596,35 @@ impl MultiSim {
     }
 
     /// Per-block miss counts, indexed `[block][MissKind]` — callers map
-    /// block indices to data structures via the layout. For a bank
-    /// (`nbanks > 1`) the index is the bank-local slot `block / nbanks`;
-    /// [`BankedSim::per_block_misses`] interleaves banks back to global
-    /// block indices.
+    /// block indices to data structures via the layout.
     pub fn per_block_misses(&self) -> &[[u32; MissKind::COUNT]] {
         &self.per_block_misses
     }
 
-    /// Per-block coherence-event counts, indexed `[block][CoherenceEvent]`
-    /// (bank-local slots when `nbanks > 1`, like
-    /// [`Self::per_block_misses`]).
+    /// Per-block coherence-event counts, indexed `[block][CoherenceEvent]`.
     pub fn per_block_events(&self) -> &[[u32; CoherenceEvent::COUNT]] {
         &self.per_block_events
     }
 
     /// Per-block reference counts (hits and misses alike), indexed by
-    /// block (bank-local slots when `nbanks > 1`). Purely a function of
-    /// the trace and the block size — the cross-backend equivalence
-    /// tests assert these are bit-identical across protocols.
+    /// block. Purely a function of the trace and the block size — the
+    /// cross-backend equivalence tests assert these are bit-identical
+    /// across protocols.
     pub fn per_block_refs(&self) -> &[u64] {
         &self.per_block_refs
     }
 
-    /// Directory presence bitmask for `block` (a global block index this
-    /// bank owns): bit `p` set iff processor `p` holds a valid copy.
-    /// Maintained exactly (evictions and invalidations both clear bits),
-    /// so under the [`Directory`] protocol this *is* the home node's
-    /// presence vector.
+    /// Directory presence bitmask for `block`: bit `p` set iff processor
+    /// `p` holds a valid copy. Maintained exactly (evictions and
+    /// invalidations both clear bits), so under the [`Directory`]
+    /// protocol this *is* the home node's presence vector.
     pub fn sharers_of(&self, block: u32) -> u64 {
-        self.sharers[self.slot(block)]
+        self.sharers[block as usize]
     }
 
     /// The processor holding `block` Modified or Exclusive, if any.
     pub fn owner_of(&self, block: u32) -> Option<u8> {
-        let o = self.owner[self.slot(block)];
+        let o = self.owner[block as usize];
         if o == NO_OWNER {
             None
         } else {
@@ -828,10 +645,10 @@ impl MultiSim {
     /// presence bitmask (meaningful under every protocol; authoritative
     /// under [`Directory`]).
     pub fn dir_state(&self, block: u32) -> DirState {
-        let s = self.slot(block);
-        if self.owner[s] != NO_OWNER {
+        let b = block as usize;
+        if self.owner[b] != NO_OWNER {
             DirState::Exclusive
-        } else if self.sharers[s] != 0 {
+        } else if self.sharers[b] != 0 {
             DirState::Shared
         } else {
             DirState::Uncached
@@ -839,33 +656,40 @@ impl MultiSim {
     }
 
     /// Number of blocks in the simulated address space (the valid range
-    /// for [`Self::dir_state`] and friends spans all banks; this bank
-    /// stores state only for its own residue class).
+    /// for [`Self::dir_state`] and friends).
     pub fn num_blocks(&self) -> u32 {
-        self.nblocks_global
+        self.sharers.len() as u32
     }
 
     pub fn block_bytes(&self) -> u32 {
         self.cfg.block_bytes
     }
 
-    /// Simulate one reference (the address must fall in this bank when
-    /// `nbanks > 1`). This is the [`SimEngine::Scalar`] replay path:
-    /// advance the clock, then take the full transition.
+    /// Capture the global coherence state: counters, and per block the
+    /// presence bitmask, owner and home-directory state.
+    pub fn snapshot(&self) -> CoherenceSnapshot {
+        let n = self.num_blocks();
+        CoherenceSnapshot {
+            stats: self.stats.clone(),
+            sharers: (0..n).map(|b| self.sharers_of(b)).collect(),
+            owner: (0..n).map(|b| self.owner_of(b)).collect(),
+            dir: (0..n).map(|b| self.dir_state(b)).collect(),
+        }
+    }
+
+    /// Simulate one reference: advance the clock, then take the full
+    /// transition. The scalar reference the chunked replay
+    /// ([`Self::access_chunk`]) is held to.
     pub fn access(&mut self, pid: u8, addr: u32, write: bool) -> Outcome {
         self.time += 1;
         self.step(pid, addr, write)
     }
 
-    /// The transition body every engine funnels through: simulate one
-    /// reference at the already-advanced clock `self.time`. The scalar
-    /// engine calls it per reference; the SoA engine only for
-    /// references its probe-first fast path cannot apply; the chunked
-    /// engine for each dependent ("slow") lane, with the clock pinned
-    /// to the lane's serial timestamp. Keeping one body is what makes
-    /// the engines bit-identical — and is the single copy that replaced
-    /// the formerly duplicated `MultiSim::access`/`BankedSim::access`
-    /// match trees.
+    /// The one transition body: simulate one reference at the
+    /// already-advanced clock `self.time`. [`Self::access`] calls it per
+    /// reference; [`Self::access_chunk`] for each dependent ("slow")
+    /// lane, with the clock pinned to the lane's serial timestamp.
+    /// Keeping one body is what makes the two bit-identical.
     fn step(&mut self, pid: u8, addr: u32, write: bool) -> Outcome {
         let p = pid as usize;
         debug_assert!(p < self.caches.len());
@@ -876,7 +700,7 @@ impl MultiSim {
             self.stats.reads += 1;
         }
         let block = addr >> self.block_shift;
-        let bs = self.slot(block);
+        let bs = block as usize;
         let word = bs * self.wpb as usize + ((addr / 4) % self.wpb) as usize;
         self.per_block_refs[bs] += 1;
 
@@ -999,7 +823,7 @@ impl MultiSim {
     }
 
     fn invalidate_others(&mut self, block: u32, keeper: u8) -> u8 {
-        let bs = self.slot(block);
+        let bs = block as usize;
         let mask = self.sharers[bs] & !(1u64 << keeper);
         if mask == 0 {
             self.sharers[bs] &= 1u64 << keeper;
@@ -1028,7 +852,7 @@ impl MultiSim {
     fn install(&mut self, p: usize, block: u32, state: LineState) {
         let way = self.caches[p].victim(block);
         if self.caches[p].state[way] != LineState::Invalid {
-            let obs = (self.caches[p].tag[way] / self.nbanks) as usize;
+            let obs = self.caches[p].tag[way] as usize;
             self.caches[p].lose(way, self.time, LostReason::Eviction);
             self.sharers[obs] &= !(1u64 << p);
             if self.owner[obs] == p as u8 {
@@ -1041,82 +865,26 @@ impl MultiSim {
         c.lru[way] = self.time;
     }
 
-    /// Simulate one reference on the [`SimEngine::Soa`] path: probe the
-    /// SoA planes first and apply the dominant hit cases — read hits in
-    /// any valid state, write hits on Modified, and the silent
-    /// Exclusive→Modified upgrade — without entering the transition
-    /// match. Everything else (misses, Shared-write upgrades) falls
-    /// through to [`Self::step`]. Bit-identical to [`Self::access`].
-    pub fn access_soa(&mut self, pid: u8, addr: u32, write: bool) -> Outcome {
-        self.time += 1;
-        let p = pid as usize;
-        let block = addr >> self.block_shift;
-        if let Some(way) = self.caches[p].find(block) {
-            let st = self.caches[p].state[way];
-            if !write || st == LineState::Modified || st == LineState::Exclusive {
-                let bs = self.slot(block);
-                self.stats.refs += 1;
-                self.per_block_refs[bs] += 1;
-                self.caches[p].lru[way] = self.time;
-                if write {
-                    self.stats.writes += 1;
-                    if st == LineState::Exclusive {
-                        // Silent upgrade: the only copy, no transaction.
-                        self.caches[p].state[way] = LineState::Modified;
-                        self.stats.exclusive_hits += 1;
-                        self.per_block_events[bs][CoherenceEvent::ExclusiveHit as usize] += 1;
-                    }
-                    let word = bs * self.wpb as usize + ((addr / 4) % self.wpb) as usize;
-                    self.word_write_time[word] = self.time;
-                } else {
-                    self.stats.reads += 1;
-                }
-                return Outcome {
-                    miss: None,
-                    block,
-                    supplier: None,
-                    upgrade: false,
-                    invalidations: 0,
-                };
-            }
-        }
-        self.step(pid, addr, write)
-    }
-
-    /// Simulate one reference on the engine's per-reference path —
-    /// the routing shim the chunked sinks use for leftovers and that
-    /// [`BankedSim::access_with`] forwards to.
-    pub fn access_with(&mut self, engine: SimEngine, pid: u8, addr: u32, write: bool) -> Outcome {
-        match engine {
-            SimEngine::Scalar => self.access(pid, addr, write),
-            // The chunked engine's per-reference fallback *is* the SoA
-            // path (chunking only changes how references are batched).
-            SimEngine::Soa | SimEngine::SoaChunked => self.access_soa(pid, addr, write),
-        }
-    }
-
     /// Replay one chunk of up to [`CHUNK_LANES`] references
-    /// lane-parallel ([`SimEngine::SoaChunked`]). Lane `i` carries
-    /// `(pids[i], addrs[i], write_mask bit i)`; `outs[i]` receives its
-    /// outcome. Equivalent to calling [`Self::access`] per lane in lane
-    /// order, bit-for-bit (asserted by the equivalence proptests).
+    /// lane-parallel. Lane `i` carries `(pids[i], addrs[i], write_mask
+    /// bit i)`; `outs[i]` receives its outcome. Equivalent to calling
+    /// [`Self::access`] per lane in lane order, bit-for-bit (asserted by
+    /// the equivalence proptests).
     ///
-    /// Strategy: decode all lanes with `fsr-simdlite` array kernels
-    /// (block index, bank-local set, word offset — strength-reduced to
-    /// shifts and masks, since geometry is power-of-two on the
-    /// negotiated chunked path), then run one fused in-order pass with
-    /// a set-granular taint rule: a lane is applied fast iff it probes
-    /// as a read hit, Modified-write hit, or Exclusive-write hit AND no
-    /// earlier *slow* lane of this chunk touched its cache set. Slow
-    /// lanes — misses, Shared-write upgrades, and tainted lanes — are
-    /// deferred and replayed through [`Self::step`] in lane order with
-    /// the clock pinned to their serial timestamp `base + lane + 1`.
-    /// Hits never taint, so the common trace shape — a run of
-    /// consecutive references to one hot block — stays on the fast
-    /// path. The taint state is a single `u64` bitmap indexed by
-    /// `set & 63` held in a register: exact for the default geometry
-    /// (64 sets per bank or fewer), conservatively aliased — never
-    /// unsound — beyond it.
+    /// Strategy: one fused in-order pass decodes each lane (block index,
+    /// set, word offset — shifts and masks, since the geometry is a
+    /// power of two) and applies a set-granular taint rule: a lane is
+    /// applied fast iff it probes as a read hit, Modified-write hit, or
+    /// Exclusive-write hit AND no earlier *slow* lane of this chunk
+    /// touched its cache set. Slow lanes — misses, Shared-write
+    /// upgrades, and tainted lanes — are deferred and replayed through
+    /// [`Self::step`] in lane order with the clock pinned to their
+    /// serial timestamp `base + lane + 1`. Hits never taint, so the
+    /// common trace shape — a run of consecutive references to one hot
+    /// block — stays on the fast path. The taint state is a single `u64`
+    /// bitmap indexed by `set & 63` held in a register: exact for 64
+    /// sets or fewer, conservatively aliased — never unsound — beyond
+    /// it.
     ///
     /// Why set tainting is sufficient: every mutation a slow lane can
     /// make lands in its own block's set — tag-matched ways of that
@@ -1142,48 +910,25 @@ impl MultiSim {
         debug_assert!(n <= CHUNK_LANES);
         debug_assert_eq!(pids.len(), n);
         debug_assert_eq!(outs.len(), n);
-        if n == 0 {
-            return;
-        }
         let num_sets = self.caches[0].num_sets;
-        // The decode below strength-reduces to shifts and masks, which
-        // needs power-of-two geometry — guaranteed on the negotiated
-        // chunked path ([`BankedSim::negotiate_banks`]); any other
-        // caller replays per reference, bit-identically.
-        if !num_sets.is_power_of_two() || !self.nbanks.is_power_of_two() {
+        // The decode below is shifts and masks, which needs a
+        // power-of-two set count; other geometries replay per
+        // reference, bit-identically.
+        if !num_sets.is_power_of_two() {
             for i in 0..n {
-                outs[i] = self.access_soa(pids[i], addrs[i], write_mask >> i & 1 == 1);
+                outs[i] = self.access(pids[i], addrs[i], write_mask >> i & 1 == 1);
             }
             return;
         }
         let base = self.time;
-        let bank_shift = self.nbanks.trailing_zeros();
         let wpb_shift = self.wpb.trailing_zeros();
         let assoc = self.caches[0].assoc as usize;
 
-        // Lane decode, whole chunk at once: block index, bank-local
-        // set, word offset within the block.
-        let mut block = [0u32; CHUNK_LANES];
-        let mut lset = [0u32; CHUNK_LANES];
-        let mut woff = [0u32; CHUNK_LANES];
-        fsr_simdlite::shr(&mut block[..n], addrs, self.block_shift);
-        {
-            let mut setq = [0u32; CHUNK_LANES];
-            fsr_simdlite::and(&mut setq[..n], &block[..n], num_sets - 1);
-            fsr_simdlite::shr(&mut lset[..n], &setq[..n], bank_shift);
-        }
-        {
-            let mut w4 = [0u32; CHUNK_LANES];
-            fsr_simdlite::shr(&mut w4[..n], addrs, 2);
-            fsr_simdlite::and(&mut woff[..n], &w4[..n], self.wpb - 1);
-        }
-
-        // Fused in-order pass: probe, apply hits fast with chunk-local
-        // counter accumulation, taint and defer everything else. The
-        // taint bitmap lives in a register; within one bank every block
-        // with the same bank-local set has the same set, so `lset` is
-        // the exact key (aliased through `& 63` only for geometries
-        // with more than 64 sets per bank).
+        // Fused in-order pass: decode, probe, apply hits fast with
+        // chunk-local counter accumulation, taint and defer everything
+        // else. The taint bitmap lives in a register, keyed by set
+        // (aliased through `& 63` only for geometries with more than 64
+        // sets).
         let mut taint: u64 = 0;
         let mut slow = [0u8; CHUNK_LANES];
         let mut nslow = 0usize;
@@ -1191,12 +936,13 @@ impl MultiSim {
         let mut fast_writes = 0u64;
         let mut fast_ex = 0u64;
         for i in 0..n {
-            let b = block[i];
-            let bs = (b >> bank_shift) as usize;
+            let b = addrs[i] >> self.block_shift;
+            let set = b & (num_sets - 1);
+            let bs = b as usize;
             let p = pids[i] as usize;
             let write = write_mask >> i & 1 == 1;
-            if taint & (1u64 << (lset[i] & 63)) == 0 {
-                let w0 = lset[i] as usize * assoc;
+            if taint & (1u64 << (set & 63)) == 0 {
+                let w0 = set as usize * assoc;
                 let c = &self.caches[p];
                 // First *valid* tag match, exactly as [`Cache::find`]
                 // (a stale tag can linger in an Invalid way).
@@ -1219,7 +965,8 @@ impl MultiSim {
                                 self.per_block_events[bs][CoherenceEvent::ExclusiveHit as usize] +=
                                     1;
                             }
-                            self.word_write_time[(bs << wpb_shift) + woff[i] as usize] = t;
+                            let woff = (addrs[i] >> 2) & (self.wpb - 1);
+                            self.word_write_time[(bs << wpb_shift) + woff as usize] = t;
                             fast_writes += 1;
                         } else {
                             fast_reads += 1;
@@ -1236,7 +983,7 @@ impl MultiSim {
                     }
                 }
             }
-            taint |= 1u64 << (lset[i] & 63);
+            taint |= 1u64 << (set & 63);
             slow[nslow] = i as u8;
             nslow += 1;
         }
@@ -1257,320 +1004,15 @@ impl MultiSim {
 }
 
 /// Global coherence state of a simulator at one instant: aggregate
-/// counters plus, per global block, the presence bitmask, modified or
-/// exclusive owner, and home-directory state. Bank-independent by
-/// construction — the phase-stitch equivalence tests compare snapshots
-/// of banked and unbanked runs at barrier boundaries.
+/// counters plus, per block, the presence bitmask, modified or
+/// exclusive owner, and home-directory state. The equivalence tests
+/// compare snapshots of the chunked replay and the scalar reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoherenceSnapshot {
     pub stats: SimStats,
     pub sharers: Vec<u64>,
     pub owner: Vec<Option<u8>>,
     pub dir: Vec<DirState>,
-}
-
-/// An address-banked multiprocessor simulator: `nbanks` [`MultiSim`]
-/// banks, bank `b` owning every block in the residue class
-/// `block % nbanks == b`.
-///
-/// Because `nbanks` divides the set count, a cache set maps entirely
-/// into one bank (eviction and LRU coupling never cross banks), and
-/// every timestamp comparison the simulator makes is between accesses
-/// of one bank — so each bank's local clock is order-isomorphic to the
-/// global clock and driving the banks (in program order per bank, in
-/// any interleaving across banks) yields outcomes and counters
-/// bit-identical to a single [`MultiSim`] over the same stream. That
-/// is what lets the batch driver simulate banks on separate worker
-/// threads and [`BankedSim::from_banks`] reassemble the result.
-pub struct BankedSim {
-    banks: Vec<MultiSim>,
-    nbanks: u32,
-    block_shift: u32,
-}
-
-impl BankedSim {
-    /// A banked simulator over `addr_space_bytes` of address space.
-    /// `nbanks` must divide `cfg.num_sets()` (see
-    /// [`BankedSim::auto_banks`]); `nbanks == 1` is exactly
-    /// [`MultiSim::new`].
-    pub fn new(cfg: CacheConfig, addr_space_bytes: u32, nbanks: u32) -> BankedSim {
-        let banks = (0..nbanks)
-            .map(|b| MultiSim::new_bank(cfg, addr_space_bytes, b, nbanks))
-            .collect();
-        BankedSim {
-            banks,
-            nbanks,
-            block_shift: cfg.block_bytes.trailing_zeros(),
-        }
-    }
-
-    /// Largest bank count that is at most `cap` and divides the
-    /// configuration's set count — the invariant [`MultiSim::new_bank`]
-    /// requires. Always at least 1.
-    ///
-    /// Engine-oblivious and infallible; callers that know the replay
-    /// engine (and want a loud failure instead of a silent degrade to
-    /// one bank) should use [`BankedSim::negotiate_banks`].
-    pub fn auto_banks(cfg: &CacheConfig, cap: usize) -> u32 {
-        let sets = cfg.num_sets();
-        let mut k = (cap.min(u32::MAX as usize) as u32).clamp(1, sets);
-        while !sets.is_multiple_of(k) {
-            k -= 1;
-        }
-        k
-    }
-
-    /// Engine-aware bank negotiation: the largest bank count at most
-    /// `cap` that (a) divides the configuration's set count — the
-    /// correctness invariant banking rests on — and (b) is
-    /// chunk-friendly for the engine: the chunked engine routes lanes
-    /// to banks with mask/shift arithmetic, so its bank counts must be
-    /// powers of two.
-    ///
-    /// Unlike [`BankedSim::auto_banks`], asking for parallelism the
-    /// geometry cannot deliver is an *error*: if `cap > 1` and the
-    /// cache has more than one set but no admissible count above 1
-    /// exists, this returns [`BankPlanError`] instead of silently
-    /// planning a single bank. A `cap` of 1 (or a single-set cache) is
-    /// an explicit request for unbanked replay and stays `Ok(1)`.
-    pub fn negotiate_banks(
-        cfg: &CacheConfig,
-        engine: SimEngine,
-        cap: usize,
-    ) -> Result<u32, BankPlanError> {
-        let sets = cfg.num_sets();
-        let cap32 = (cap.min(u32::MAX as usize) as u32).min(sets);
-        let mut best = 1u32;
-        for k in 1..=cap32 {
-            if !sets.is_multiple_of(k) {
-                continue;
-            }
-            if engine.chunked() && !k.is_power_of_two() {
-                continue;
-            }
-            best = k;
-        }
-        if best == 1 && cap > 1 && sets > 1 {
-            return Err(BankPlanError {
-                engine,
-                num_sets: sets,
-                cap,
-            });
-        }
-        Ok(best)
-    }
-
-    /// One banked simulator per configuration, each over the same
-    /// address-space bound, with its bank count auto-fitted to
-    /// `bank_cap` — the batch driver's unit layout, where many job
-    /// configurations consume one shared trace.
-    pub fn for_configs(
-        cfgs: &[CacheConfig],
-        addr_space_bytes: u32,
-        bank_cap: usize,
-    ) -> Vec<BankedSim> {
-        cfgs.iter()
-            .map(|cfg| BankedSim::new(*cfg, addr_space_bytes, BankedSim::auto_banks(cfg, bank_cap)))
-            .collect()
-    }
-
-    /// Reassemble a banked simulator from banks that were driven
-    /// independently (e.g. on a worker pool). The banks must belong to
-    /// one logical simulator: bank `i` of `banks.len()` at position `i`.
-    pub fn from_banks(banks: Vec<MultiSim>) -> BankedSim {
-        assert!(!banks.is_empty(), "a BankedSim needs at least one bank");
-        let nbanks = banks.len() as u32;
-        for (i, b) in banks.iter().enumerate() {
-            assert_eq!(b.num_banks(), nbanks, "bank {i}: wrong bank count");
-            assert_eq!(b.bank_index(), i as u32, "bank {i}: out of order");
-        }
-        let block_shift = banks[0].block_shift;
-        BankedSim {
-            banks,
-            nbanks,
-            block_shift,
-        }
-    }
-
-    pub fn config(&self) -> &CacheConfig {
-        self.banks[0].config()
-    }
-
-    pub fn num_banks(&self) -> u32 {
-        self.nbanks
-    }
-
-    pub fn banks(&self) -> &[MultiSim] {
-        &self.banks
-    }
-
-    pub fn banks_mut(&mut self) -> &mut [MultiSim] {
-        &mut self.banks
-    }
-
-    pub fn into_banks(self) -> Vec<MultiSim> {
-        self.banks
-    }
-
-    pub fn block_bytes(&self) -> u32 {
-        self.banks[0].block_bytes()
-    }
-
-    /// Number of blocks in the simulated address space (global, across
-    /// all banks).
-    pub fn num_blocks(&self) -> u32 {
-        self.banks[0].num_blocks()
-    }
-
-    /// Which bank owns `block`.
-    pub fn bank_of_block(&self, block: u32) -> usize {
-        (block % self.nbanks) as usize
-    }
-
-    /// Which bank owns the block containing `addr`.
-    pub fn bank_of_addr(&self, addr: u32) -> usize {
-        self.bank_of_block(addr >> self.block_shift)
-    }
-
-    /// Simulate one reference, routed to the owning bank.
-    pub fn access(&mut self, pid: u8, addr: u32, write: bool) -> Outcome {
-        let b = self.bank_of_addr(addr);
-        self.banks[b].access(pid, addr, write)
-    }
-
-    /// Simulate one reference on the chosen engine's per-reference
-    /// path, routed to the owning bank.
-    pub fn access_with(&mut self, engine: SimEngine, pid: u8, addr: u32, write: bool) -> Outcome {
-        let b = self.bank_of_addr(addr);
-        self.banks[b].access_with(engine, pid, addr, write)
-    }
-
-    /// Replay one chunk of up to [`CHUNK_LANES`] references
-    /// lane-parallel, routed per bank: lanes are partitioned by owning
-    /// bank (order-preserving, so each bank sees its sub-stream in
-    /// program order — exactly what the banking equivalence argument
-    /// requires), each bank replays its sub-chunk via
-    /// [`MultiSim::access_chunk`], and outcomes are scattered back to
-    /// lane positions. Bit-identical to per-reference routed replay.
-    pub fn access_chunk(
-        &mut self,
-        pids: &[u8],
-        addrs: &[u32],
-        write_mask: u64,
-        outs: &mut [Outcome],
-    ) {
-        if self.nbanks == 1 {
-            return self.banks[0].access_chunk(pids, addrs, write_mask, outs);
-        }
-        let n = addrs.len();
-        debug_assert!(n <= CHUNK_LANES);
-        let mut sub_pid = [0u8; CHUNK_LANES];
-        let mut sub_addr = [0u32; CHUNK_LANES];
-        let mut sub_lane = [0u8; CHUNK_LANES];
-        let mut sub_out = [Outcome {
-            miss: None,
-            block: 0,
-            supplier: None,
-            upgrade: false,
-            invalidations: 0,
-        }; CHUNK_LANES];
-        for b in 0..self.nbanks as usize {
-            let mut m = 0usize;
-            let mut sub_writes = 0u64;
-            for i in 0..n {
-                if self.bank_of_addr(addrs[i]) == b {
-                    sub_pid[m] = pids[i];
-                    sub_addr[m] = addrs[i];
-                    sub_writes |= (write_mask >> i & 1) << m;
-                    sub_lane[m] = i as u8;
-                    m += 1;
-                }
-            }
-            if m == 0 {
-                continue;
-            }
-            self.banks[b].access_chunk(
-                &sub_pid[..m],
-                &sub_addr[..m],
-                sub_writes,
-                &mut sub_out[..m],
-            );
-            for j in 0..m {
-                outs[sub_lane[j] as usize] = sub_out[j];
-            }
-        }
-    }
-
-    /// Aggregate statistics, merged across banks — bit-identical to an
-    /// unbanked run's [`MultiSim::stats`].
-    pub fn stats(&self) -> SimStats {
-        let mut out = SimStats::default();
-        for b in &self.banks {
-            out.merge(b.stats());
-        }
-        out
-    }
-
-    /// Interleave per-bank slot-indexed counters back to global block
-    /// indices: global block `g` lives in bank `g % nbanks` at slot
-    /// `g / nbanks`.
-    fn interleave<T: Copy + Default>(&self, per_bank: impl Fn(&MultiSim) -> &[T]) -> Vec<T> {
-        let n = self.num_blocks() as usize;
-        let mut out = vec![T::default(); n];
-        for (bi, bank) in self.banks.iter().enumerate() {
-            for (slot, v) in per_bank(bank).iter().enumerate() {
-                let g = slot * self.nbanks as usize + bi;
-                if g < n {
-                    out[g] = *v;
-                }
-            }
-        }
-        out
-    }
-
-    /// Per-block miss counts at global block indices (cf.
-    /// [`MultiSim::per_block_misses`], which is slot-indexed per bank).
-    pub fn per_block_misses(&self) -> Vec<[u32; MissKind::COUNT]> {
-        self.interleave(|b| b.per_block_misses())
-    }
-
-    /// Per-block coherence-event counts at global block indices.
-    pub fn per_block_events(&self) -> Vec<[u32; CoherenceEvent::COUNT]> {
-        self.interleave(|b| b.per_block_events())
-    }
-
-    /// Per-block reference counts at global block indices.
-    pub fn per_block_refs(&self) -> Vec<u64> {
-        self.interleave(|b| b.per_block_refs())
-    }
-
-    pub fn sharers_of(&self, block: u32) -> u64 {
-        self.banks[self.bank_of_block(block)].sharers_of(block)
-    }
-
-    pub fn owner_of(&self, block: u32) -> Option<u8> {
-        self.banks[self.bank_of_block(block)].owner_of(block)
-    }
-
-    pub fn dir_state(&self, block: u32) -> DirState {
-        self.banks[self.bank_of_block(block)].dir_state(block)
-    }
-
-    pub fn line_state(&self, pid: u8, block: u32) -> LineState {
-        self.banks[self.bank_of_block(block)].line_state(pid, block)
-    }
-
-    /// Capture the global coherence state (counters, presence bitmasks,
-    /// owners, directory states) in bank-independent form.
-    pub fn snapshot(&self) -> CoherenceSnapshot {
-        let n = self.num_blocks();
-        CoherenceSnapshot {
-            stats: self.stats(),
-            sharers: (0..n).map(|b| self.sharers_of(b)).collect(),
-            owner: (0..n).map(|b| self.owner_of(b)).collect(),
-            dir: (0..n).map(|b| self.dir_state(b)).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1935,128 +1377,29 @@ mod tests {
         refs
     }
 
-    #[test]
-    fn banked_outcomes_match_serial_for_every_protocol() {
-        for &kind in &ProtocolKind::ALL {
-            let cfg = CacheConfig {
-                nproc: 4,
-                block_bytes: 64,
-                cache_bytes: 1024,
-                assoc: 2,
-                protocol: kind,
-            };
-            for nbanks in [2u32, 4, 8] {
-                let mut serial = MultiSim::new(cfg, 1 << 14);
-                let mut banked = BankedSim::new(cfg, 1 << 14, nbanks);
-                for &(pid, addr, write) in &stress_stream(4) {
-                    let want = serial.access(pid, addr, write);
-                    let got = banked.access(pid, addr, write);
-                    assert_eq!(want, got, "{} nbanks={nbanks}", kind.name());
-                }
-                assert_eq!(*serial.stats(), banked.stats(), "{}", kind.name());
-                assert_eq!(serial.per_block_misses(), banked.per_block_misses());
-                assert_eq!(serial.per_block_events(), banked.per_block_events());
-                assert_eq!(serial.per_block_refs(), banked.per_block_refs());
-                let unbanked = BankedSim::from_banks(vec![serial]);
-                assert_eq!(unbanked.snapshot(), banked.snapshot());
-            }
-        }
-    }
-
-    #[test]
-    fn banks_driven_independently_reassemble_exactly() {
-        // Drive each bank on its own filtered stream (what the sharded
-        // driver does on worker threads), then reassemble.
-        let cfg = CacheConfig {
+    fn stress_cfg(protocol: ProtocolKind) -> CacheConfig {
+        CacheConfig {
             nproc: 4,
             block_bytes: 64,
             cache_bytes: 1024,
             assoc: 2,
-            protocol: ProtocolKind::Mesi,
-        };
-        let nbanks = 4u32;
-        let shift = cfg.block_bytes.trailing_zeros();
-        let stream = stress_stream(4);
-        let mut whole = BankedSim::new(cfg, 1 << 14, nbanks);
-        let mut parts: Vec<MultiSim> = (0..nbanks)
-            .map(|b| MultiSim::new_bank(cfg, 1 << 14, b, nbanks))
-            .collect();
-        for &(pid, addr, write) in &stream {
-            whole.access(pid, addr, write);
-            let bank = ((addr >> shift) % nbanks) as usize;
-            parts[bank].access(pid, addr, write);
-        }
-        let reassembled = BankedSim::from_banks(parts);
-        assert_eq!(whole.snapshot(), reassembled.snapshot());
-        assert_eq!(whole.per_block_misses(), reassembled.per_block_misses());
-    }
-
-    #[test]
-    fn auto_banks_divides_num_sets() {
-        for (cache, block, assoc) in [(1024u32, 64u32, 2u32), (32 * 1024, 128, 4), (4096, 4, 1)] {
-            let cfg = CacheConfig {
-                nproc: 2,
-                block_bytes: block,
-                cache_bytes: cache,
-                assoc,
-                protocol: ProtocolKind::Msi,
-            };
-            for cap in 1..=16usize {
-                let k = BankedSim::auto_banks(&cfg, cap);
-                assert!(k >= 1 && k <= cap as u32);
-                assert_eq!(cfg.num_sets() % k, 0, "cap {cap}");
-            }
+            protocol,
         }
     }
 
-    #[test]
-    #[should_panic(expected = "must divide num_sets")]
-    fn new_bank_rejects_bank_counts_that_split_sets() {
-        // 1024B cache / 64B blocks / assoc 2 = 8 sets; 3 doesn't divide.
-        let cfg = CacheConfig {
-            nproc: 2,
-            block_bytes: 64,
-            cache_bytes: 1024,
-            assoc: 2,
-            protocol: ProtocolKind::Msi,
-        };
-        MultiSim::new_bank(cfg, 1 << 14, 0, 3);
-    }
-
-    /// Replay `stream` on each engine (per-reference for Scalar/Soa,
-    /// chunked with the given chunk sizes for SoaChunked) and assert
-    /// outcomes and every observable counter are bit-identical.
-    fn assert_engines_equivalent(kind: ProtocolKind, nbanks: u32, chunk_sizes: &[usize]) {
-        let cfg = CacheConfig {
-            nproc: 4,
-            block_bytes: 64,
-            cache_bytes: 1024,
-            assoc: 2,
-            protocol: kind,
-        };
-        let stream = stress_stream(4);
-        let mut scalar = BankedSim::new(cfg, 1 << 14, nbanks);
-        let mut soa = BankedSim::new(cfg, 1 << 14, nbanks);
-        let mut chunked = BankedSim::new(cfg, 1 << 14, nbanks);
-        let scalar_outs: Vec<Outcome> = stream
+    /// Replay the stress stream per reference through `access` and, in
+    /// chunks of the given sizes, through `access_chunk`; assert outcomes
+    /// and every observable counter are bit-identical.
+    fn assert_chunked_matches_access(cfg: CacheConfig, chunk_sizes: &[usize]) {
+        let ctx = format!("{} sets={}", cfg.protocol.name(), cfg.num_sets());
+        let stream = stress_stream(cfg.nproc);
+        let mut scalar = MultiSim::new(cfg, 1 << 14);
+        let mut chunked = MultiSim::new(cfg, 1 << 14);
+        let want: Vec<Outcome> = stream
             .iter()
             .map(|&(pid, addr, w)| scalar.access(pid, addr, w))
             .collect();
-        let soa_outs: Vec<Outcome> = stream
-            .iter()
-            .map(|&(pid, addr, w)| soa.access_with(SimEngine::Soa, pid, addr, w))
-            .collect();
-        assert_eq!(scalar_outs, soa_outs, "{} soa", kind.name());
-        let mut chunk_outs = vec![
-            Outcome {
-                miss: None,
-                block: 0,
-                supplier: None,
-                upgrade: false,
-                invalidations: 0,
-            };
-            stream.len()
-        ];
+        let mut got = vec![Outcome::default(); stream.len()];
         let mut at = 0usize;
         let mut csz = chunk_sizes.iter().cycle();
         while at < stream.len() {
@@ -2067,43 +1410,41 @@ mod tests {
             for (i, r) in stream[at..at + n].iter().enumerate() {
                 wmask |= (r.2 as u64) << i;
             }
-            chunked.access_chunk(&pids, &addrs, wmask, &mut chunk_outs[at..at + n]);
+            chunked.access_chunk(&pids, &addrs, wmask, &mut got[at..at + n]);
             at += n;
         }
-        assert_eq!(scalar_outs, chunk_outs, "{} chunked", kind.name());
-        assert_eq!(scalar.snapshot(), soa.snapshot(), "{}", kind.name());
-        assert_eq!(scalar.snapshot(), chunked.snapshot(), "{}", kind.name());
+        assert_eq!(want, got, "{ctx}");
+        assert_eq!(scalar.snapshot(), chunked.snapshot(), "{ctx}");
         assert_eq!(scalar.per_block_misses(), chunked.per_block_misses());
         assert_eq!(scalar.per_block_events(), chunked.per_block_events());
         assert_eq!(scalar.per_block_refs(), chunked.per_block_refs());
     }
 
     #[test]
-    fn engines_are_bit_identical_for_every_protocol() {
+    fn chunked_replay_matches_access_for_every_protocol() {
         for &kind in &ProtocolKind::ALL {
-            assert_engines_equivalent(kind, 1, &[CHUNK_LANES]);
+            assert_chunked_matches_access(stress_cfg(kind), &[CHUNK_LANES]);
         }
     }
 
     #[test]
-    fn engines_are_bit_identical_with_ragged_chunks() {
+    fn chunked_replay_matches_access_with_ragged_chunks() {
         for &kind in &ProtocolKind::ALL {
-            assert_engines_equivalent(kind, 1, &[1, 7, 64, 3, 33]);
-        }
-    }
-
-    #[test]
-    fn engines_are_bit_identical_under_banking() {
-        for &kind in &ProtocolKind::ALL {
-            for nbanks in [2u32, 4, 8] {
-                assert_engines_equivalent(kind, nbanks, &[CHUNK_LANES, 13]);
+            // 1152B / 64B / assoc 2 = 9 sets takes the per-reference
+            // fallback.
+            for cache_bytes in [1024, 1152] {
+                let cfg = CacheConfig {
+                    cache_bytes,
+                    ..stress_cfg(kind)
+                };
+                assert_chunked_matches_access(cfg, &[1, 7, 64, 3, 33]);
             }
         }
     }
 
     #[test]
     fn chunk_timestamps_continue_the_scalar_clock() {
-        // A chunked replay must leave the bank clock exactly where a
+        // A chunked replay must leave the clock exactly where a
         // scalar replay would, so mixing entry points mid-stream (the
         // sinks flush partial chunks at sync boundaries) stays exact.
         let cfg = CacheConfig {
@@ -2136,86 +1477,5 @@ mod tests {
         }
         assert_eq!(a.time, b.time);
         assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn negotiate_banks_respects_engine_constraints() {
-        // 1024B / 64B / assoc 2 -> 8 sets.
-        let cfg = CacheConfig {
-            nproc: 2,
-            block_bytes: 64,
-            cache_bytes: 1024,
-            assoc: 2,
-            protocol: ProtocolKind::Msi,
-        };
-        for engine in SimEngine::ALL {
-            let k = BankedSim::negotiate_banks(&cfg, engine, 8).unwrap();
-            assert_eq!(k, 8, "{engine}");
-            assert_eq!(BankedSim::negotiate_banks(&cfg, engine, 1).unwrap(), 1);
-        }
-        // 4096B / 64B / assoc 1 -> 64 sets; cap 6: scalar may take 4
-        // (largest divisor <= 6 that is... 4), chunked also 4.
-        let cfg64 = CacheConfig {
-            nproc: 2,
-            block_bytes: 64,
-            cache_bytes: 4096,
-            assoc: 1,
-            protocol: ProtocolKind::Msi,
-        };
-        assert_eq!(
-            BankedSim::negotiate_banks(&cfg64, SimEngine::SoaChunked, 6).unwrap(),
-            4
-        );
-    }
-
-    #[test]
-    fn negotiate_banks_errors_instead_of_silently_degrading() {
-        // 1152B / 64B / assoc 2 -> 9 sets: divisors are {1, 3, 9}, none
-        // a power of two, so the chunked engine cannot bank at all.
-        let cfg = CacheConfig {
-            nproc: 2,
-            block_bytes: 64,
-            cache_bytes: 1152,
-            assoc: 2,
-            protocol: ProtocolKind::Msi,
-        };
-        assert_eq!(cfg.num_sets(), 9);
-        let err = BankedSim::negotiate_banks(&cfg, SimEngine::SoaChunked, 2).unwrap_err();
-        assert_eq!(err.num_sets, 9);
-        assert!(err.to_string().contains("power of two"), "{err}");
-        // The scalar engine can still take 3 banks within a cap of 4...
-        assert_eq!(
-            BankedSim::negotiate_banks(&cfg, SimEngine::Scalar, 4).unwrap(),
-            3
-        );
-        // ...but a cap of 2 admits nothing above 1 for any engine.
-        assert!(BankedSim::negotiate_banks(&cfg, SimEngine::Scalar, 2).is_err());
-        // auto_banks keeps its engine-oblivious quiet-degrade contract.
-        assert_eq!(BankedSim::auto_banks(&cfg, 2), 1);
-    }
-
-    #[test]
-    fn sim_engine_parse_round_trips() {
-        for engine in SimEngine::ALL {
-            assert_eq!(SimEngine::parse(engine.name()), Some(engine));
-        }
-        assert_eq!(SimEngine::parse("chunked"), Some(SimEngine::SoaChunked));
-        assert_eq!(SimEngine::parse("AVX-512"), None);
-        assert_eq!(SimEngine::default(), SimEngine::SoaChunked);
-    }
-
-    #[test]
-    fn merged_stats_are_additive() {
-        let mut a = SimStats::default();
-        let mut b = SimStats::default();
-        a.refs = 3;
-        a.misses[MissKind::Cold as usize] = 2;
-        b.refs = 5;
-        b.misses[MissKind::Cold as usize] = 1;
-        b.dir_txns = 7;
-        a.merge(&b);
-        assert_eq!(a.refs, 8);
-        assert_eq!(a.misses[MissKind::Cold as usize], 3);
-        assert_eq!(a.dir_txns, 7);
     }
 }

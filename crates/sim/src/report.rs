@@ -1,11 +1,11 @@
 //! Per-data-structure miss and coherence-event attribution reports.
 
-use crate::{BankedSim, CoherenceEvent, MissKind, MultiSim};
+use crate::{CoherenceEvent, MissKind, MultiSim};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Miss counts for one attributed data structure.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObjMisses {
     pub misses: [u64; MissKind::COUNT],
 }
@@ -24,7 +24,7 @@ impl ObjMisses {
 /// classes come from the simulator; `queue_stall` is filled in by the
 /// timing layer (interconnect queueing cycles spent on this object's
 /// blocks) and is 0 straight out of the simulator.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObjCoherence {
     pub events: [u64; CoherenceEvent::COUNT],
     pub queue_stall: u64,
@@ -40,7 +40,7 @@ impl ObjCoherence {
     }
 }
 
-/// Fold globally-indexed per-block count rows into per-object totals.
+/// Fold per-block count rows into per-object totals.
 fn fold_counts<'a, const N: usize>(
     block_bytes: u32,
     rows: impl Iterator<Item = (usize, &'a [u32; N])>,
@@ -62,14 +62,11 @@ fn fold_counts<'a, const N: usize>(
 }
 
 /// Aggregate the simulator's per-block miss counts into per-object counts
-/// using an address→name attribution function. The simulator must be
-/// unbanked (its block indices global); banked simulators attribute via
-/// [`attribute_misses_banked`].
+/// using an address→name attribution function.
 pub fn attribute_misses(
     sim: &MultiSim,
     name_of: impl FnMut(u32) -> Option<String>,
 ) -> BTreeMap<String, ObjMisses> {
-    assert_eq!(sim.num_banks(), 1, "banked sims attribute via BankedSim");
     fold_counts(
         sim.block_bytes(),
         sim.per_block_misses().iter().enumerate(),
@@ -80,20 +77,6 @@ pub fn attribute_misses(
     .collect()
 }
 
-/// [`attribute_misses`] over a banked simulator: banks interleave back
-/// to global block indices, so attribution is bit-identical to the
-/// unbanked run's.
-pub fn attribute_misses_banked(
-    sim: &BankedSim,
-    name_of: impl FnMut(u32) -> Option<String>,
-) -> BTreeMap<String, ObjMisses> {
-    let rows = sim.per_block_misses();
-    fold_counts(sim.block_bytes(), rows.iter().enumerate(), name_of)
-        .into_iter()
-        .map(|(k, misses)| (k, ObjMisses { misses }))
-        .collect()
-}
-
 /// Aggregate the simulator's per-block coherence-event counts into
 /// per-object counts using an address→name attribution function.
 /// `queue_stall` is left 0 — see [`ObjCoherence`].
@@ -101,7 +84,6 @@ pub fn attribute_coherence(
     sim: &MultiSim,
     name_of: impl FnMut(u32) -> Option<String>,
 ) -> BTreeMap<String, ObjCoherence> {
-    assert_eq!(sim.num_banks(), 1, "banked sims attribute via BankedSim");
     fold_counts(
         sim.block_bytes(),
         sim.per_block_events().iter().enumerate(),
@@ -118,26 +100,6 @@ pub fn attribute_coherence(
         )
     })
     .collect()
-}
-
-/// [`attribute_coherence`] over a banked simulator.
-pub fn attribute_coherence_banked(
-    sim: &BankedSim,
-    name_of: impl FnMut(u32) -> Option<String>,
-) -> BTreeMap<String, ObjCoherence> {
-    let rows = sim.per_block_events();
-    fold_counts(sim.block_bytes(), rows.iter().enumerate(), name_of)
-        .into_iter()
-        .map(|(k, events)| {
-            (
-                k,
-                ObjCoherence {
-                    events,
-                    queue_stall: 0,
-                },
-            )
-        })
-        .collect()
 }
 
 /// Render an attribution table sorted by false-sharing misses.

@@ -5,7 +5,7 @@ use fsr_lang::ast::{FieldId, ObjId};
 use std::collections::BTreeMap;
 
 /// The transformation chosen for one object.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObjPlan {
     /// Group & transpose: elements regrouped by owning process; each
     /// process's region is padded to a cache-block multiple. Objects
@@ -23,7 +23,7 @@ pub enum ObjPlan {
 }
 
 /// A complete layout plan for a program at a given coherence-block size.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LayoutPlan {
     pub block_bytes: u32,
     pub directives: BTreeMap<ObjId, ObjPlan>,

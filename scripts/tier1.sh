@@ -29,49 +29,22 @@ cargo test -q -p fsr-integration --test coherence_props --test directory
 # Directory ablation must reproduce the checked-in golden bit-for-bit at
 # the pinned knobs (the report is thread-count invariant).
 abl_out="$(mktemp)"
-scale_out="$(mktemp)"
-simd_out="$(mktemp)"
-trap 'rm -f "$abl_out" "$scale_out" "$simd_out"' EXIT
+steal_out="$(mktemp)"
+trap 'rm -f "$abl_out" "$steal_out"' EXIT
 FSR_NPROC=8 FSR_SCALE=1 FSR_BENCH_OUT="$abl_out" \
     cargo run -q --release --bin directory_ablation >/dev/null
 diff -u tests/golden/directory_ablation.json "$abl_out"
-# Sharded-engine equivalence: phase-parallel + banked simulation forced
-# on (shard threads >= 2) must be bit-identical to the serial path on
-# every workload and protocol, including the randomized property cases.
-cargo test -q -p fsr-integration --test shard
 # Schedule determinism: a fixed work-steal seed is bit-identical across
-# engines, shard modes and batch widths; distinct seeds never collide
-# into one trace group or cached result.
+# batch widths; distinct seeds never collide into one trace group or
+# cached result.
 cargo test -q -p fsr-integration --test scheduler
-# Scale-sweep smoke at pinned knobs: the machine-independent half of
-# BENCH_scale.json (exec cycles, refs, miss classes, segment count,
-# asserted bit-identical across 1 and 2 shard threads inside the bin)
-# must match the checked-in golden.
-FSR_NPROC=8 FSR_SCALE=1 FSR_SCALE_THREADS=1,2 FSR_BENCH_OUT="$scale_out" \
-    cargo run -q --release --bin scale_sweep -- --golden >/dev/null
-diff -u tests/golden/scale_sweep.json "$scale_out"
 # Steal-sweep smoke at pinned knobs: per-workload steal counts and the
 # false-sharing miss deltas of the work-steal schedule vs round-robin,
-# with serial-vs-sharded bit-identity asserted inside the bin, must
-# match the checked-in golden.
-steal_out="$(mktemp)"
-trap 'rm -f "$abl_out" "$scale_out" "$simd_out" "$steal_out"' EXIT
+# with steals == timing steal joins asserted inside the bin, must match
+# the checked-in golden.
 FSR_NPROC=8 FSR_SCALE=1 FSR_BENCH_OUT="$steal_out" \
     cargo run -q --release --bin steal_sweep -- --golden >/dev/null
 diff -u tests/golden/steal_sweep.json "$steal_out"
-# Engine equivalence (scalar vs SoA vs chunked SoA replay): the simd
-# suite again in the accelerated-kernel build (the portable build
-# already ran in the workspace test pass), then the bench_simd per-cell
-# digest against the checked-in golden at pinned knobs — in both
-# feature builds, so the portable and runtime-dispatched AVX2 kernel
-# paths are held to the same bits.
-cargo test -q -p fsr-integration --test simd --release --features accel
-FSR_NPROC=8 FSR_SCALE=1 FSR_BENCH_OUT="$simd_out" \
-    cargo run -q --release --bin bench_simd -- --golden >/dev/null 2>&1
-diff -u tests/golden/simd.json "$simd_out"
-FSR_NPROC=8 FSR_SCALE=1 FSR_BENCH_OUT="$simd_out" \
-    cargo run -q --release -p fsr-bench --features accel --bin bench_simd -- --golden >/dev/null 2>&1
-diff -u tests/golden/simd.json "$simd_out"
 # Daemon smoke: a scripted fsr-serve session (open a workload, lint with
 # streamed diagnostics, one cold figure-3-style simulate, the identical
 # request again) must reproduce the pinned transcript byte-for-byte —

@@ -96,13 +96,14 @@ fn batch_shares_one_interpretation_across_backends() {
             });
         }
     }
-    let before = fsr_interp::runs_started();
     let (out, stats) = run_batch_with_stats(jobs, 1);
-    let after = fsr_interp::runs_started();
     assert_eq!(stats.jobs, 9);
     assert_eq!(stats.front_ends, 1);
     assert_eq!(stats.trace_groups, 1, "backends share one trace group");
-    assert_eq!(after - before, 1, "exactly one interpreter run");
+    // The per-run count, not a delta of the process-global
+    // `runs_started()` counter, which other tests in this binary bump
+    // in parallel.
+    assert_eq!(stats.interpretations, 1, "exactly one interpreter run");
 
     // Miss classification is backend-independent; only coherence events
     // and timing change.

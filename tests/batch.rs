@@ -1,8 +1,10 @@
 //! Equivalence and work-sharing guarantees of the batched experiment
 //! engine (`run_batch`) against the reference per-job pipeline.
 
-use fsr_core::driver::{run_batch_with_stats, Job, PlanSourceSpec};
-use fsr_core::{run_pipeline, PipelineConfig, PlanSource, RunResult};
+use fsr_core::driver::{
+    effective_threads, run_batch, run_batch_with_stats, DriverError, Job, PlanSourceSpec,
+};
+use fsr_core::{run_pipeline, PipelineConfig, PipelineError, PlanSource, RunResult};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -225,4 +227,68 @@ fn batch_caches_front_ends_across_plan_variants() {
     assert_eq!(stats.front_ends, 1, "same (source, params) compiled once");
     assert_eq!(stats.analyses, 1, "analysis shared by all compiler jobs");
     assert!(out.iter().all(|(_, r)| r.is_ok()));
+}
+
+/// A deterministic panic planted in one job's plan stage must come back
+/// as a structured `WorkerPanic` naming that job's index and meta — and
+/// every sibling job, running on the same worker pool, must complete
+/// normally (the old path poisoned the result slots and aborted the
+/// whole batch).
+#[test]
+fn panicking_job_reports_meta_without_wedging_siblings() {
+    let _g = gate();
+    let src: Arc<str> = Arc::from(COUNTERS);
+    let mk = |meta: &str, plan| Job {
+        meta: meta.to_string(),
+        src: src.clone(),
+        params: vec![],
+        plan,
+        cfg: PipelineConfig::with_block(64),
+    };
+    let jobs = vec![
+        mk("healthy-0", PlanSourceSpec::Unoptimized),
+        mk(
+            "seeded-panic",
+            PlanSourceSpec::Programmer(|_, _| panic!("seeded plan panic")),
+        ),
+        mk("healthy-2", PlanSourceSpec::Compiler),
+    ];
+    let out = run_batch(jobs, 2);
+    assert_eq!(out.len(), 3);
+    match &out[1].1 {
+        Err(PipelineError::Driver(DriverError::WorkerPanic {
+            stage,
+            job_index,
+            job_meta,
+            payload,
+        })) => {
+            assert_eq!(*stage, "plan/layout");
+            assert_eq!(*job_index, 1);
+            assert!(job_meta.contains("seeded-panic"), "meta: {job_meta}");
+            assert!(payload.contains("seeded plan panic"), "payload: {payload}");
+        }
+        other => panic!("expected structured WorkerPanic, got {other:?}"),
+    }
+    assert!(out[0].1.is_ok(), "sibling 0 must finish");
+    assert!(out[2].1.is_ok(), "sibling 2 must finish");
+}
+
+/// The thread budget resolves available parallelism *before* clamping
+/// to the job count, so a small batch on a wide machine never spawns
+/// idle workers.
+#[test]
+fn thread_budget_never_oversubscribes_small_batches() {
+    assert_eq!(effective_threads(16, 2), 2);
+    assert_eq!(effective_threads(1, 100), 1);
+    assert_eq!(effective_threads(0, 1), 1, "auto on a single job is serial");
+    assert_eq!(
+        effective_threads(4, 0),
+        1,
+        "empty batch still gets a worker"
+    );
+    let auto = effective_threads(0, usize::MAX);
+    assert!(
+        auto >= 1,
+        "auto resolves to at least one thread, got {auto}"
+    );
 }

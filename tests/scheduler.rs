@@ -2,25 +2,19 @@
 //!
 //! The work-stealing schedule is seeded and must be *reproducible*: a
 //! fixed `(schedule, seed)` produces bit-identical traces, statistics
-//! and batch results no matter which simulation engine consumes the
-//! trace, how many worker threads the batch uses, or whether the
-//! phase/bank-sharded unit engine is forced on. And the schedule is a
-//! cache axis: jobs that differ only in the steal seed must never
-//! collide into one trace group or be served from one another's cached
-//! results.
+//! and batch results no matter how many worker threads the batch uses.
+//! And the schedule is a cache axis: jobs that differ only in the steal
+//! seed must never collide into one trace group or be served from one
+//! another's cached results.
 
-use fsr_core::driver::{
-    run_batch_sharded, run_batch_sharded_with_stats, Job, PlanSourceSpec, ShardMode,
-};
-use fsr_core::{
-    InterconnectKind, PipelineConfig, ProtocolKind, RunResult, Schedule, SimEngine, World,
-};
+use fsr_core::driver::{run_batch, run_batch_with_stats, Job, PlanSourceSpec};
+use fsr_core::{InterconnectKind, PipelineConfig, ProtocolKind, RunResult, Schedule, World};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const WS_SEED: u64 = 0xFEED_FACE;
 
-/// Each protocol on its natural interconnect (mirrors `tests/shard.rs`).
+/// Each protocol on its natural interconnect (mirrors `tests/oracle.rs`).
 fn backend_pairs() -> [(ProtocolKind, InterconnectKind); 3] {
     [
         (ProtocolKind::Msi, InterconnectKind::Ksr2Ring),
@@ -55,7 +49,6 @@ fn sched_jobs(
     w: &fsr_workloads::Workload,
     nproc: i64,
     backend: (ProtocolKind, InterconnectKind),
-    engine: SimEngine,
     schedule: Schedule,
 ) -> Vec<Job<String>> {
     let src: Arc<str> = Arc::from(w.source);
@@ -63,7 +56,6 @@ fn sched_jobs(
         .into_iter()
         .map(|plan| {
             let mut cfg = PipelineConfig::with_block(128).with_backends(backend.0, backend.1);
-            cfg.engine = engine;
             cfg.run.schedule = schedule;
             Job::new(
                 format!("{}/{:?}/{:?}/{plan:?}", w.name, backend.0, schedule),
@@ -86,44 +78,23 @@ fn results(out: fsr_core::driver::JobResults<String>) -> Vec<(String, RunResult)
 }
 
 /// Acceptance gate: under a fixed steal seed, every workload × every
-/// protocol backend is bit-identical across the three simulation
-/// engines, across batch worker counts, and with the phase/bank
-/// sharded unit engine forced on.
+/// protocol backend is bit-identical whether each workload runs alone
+/// on one worker or all ten run as one batch on two workers (units then
+/// interpret and simulate concurrently).
 #[test]
-fn work_steal_fixed_seed_is_bit_identical_across_engines_and_shards() {
+fn work_steal_fixed_seed_is_bit_identical_across_batch_widths() {
     let sched = Schedule::WorkSteal { seed: WS_SEED };
-    for w in fsr_workloads::all() {
-        for backend in backend_pairs() {
-            let want = results(run_batch_sharded(
-                sched_jobs(&w, 4, backend, SimEngine::Scalar, sched),
-                1,
-                ShardMode::Off,
-            ));
-            // Other engines consume the identical schedule.
-            for engine in [SimEngine::Soa, SimEngine::SoaChunked] {
-                let got = results(run_batch_sharded(
-                    sched_jobs(&w, 4, backend, engine, sched),
-                    1,
-                    ShardMode::Off,
-                ));
-                for ((ctx, a), (_, b)) in want.iter().zip(&got) {
-                    assert_same(a, b, &format!("{ctx} vs {engine:?}"));
-                }
-            }
-            // The sharded unit engine splits the stolen-schedule trace
-            // at barrier boundaries and must stitch it back exactly.
-            let (out, stats) = run_batch_sharded_with_stats(
-                sched_jobs(&w, 4, backend, SimEngine::Scalar, sched),
-                2,
-                ShardMode::Force(3),
-            );
-            assert!(
-                stats.segments > 0,
-                "forced sharding runs the segment engine"
-            );
-            for ((ctx, a), (_, b)) in want.iter().zip(&results(out)) {
-                assert_same(a, b, &format!("{ctx} sharded"));
-            }
+    for backend in backend_pairs() {
+        let mut want = Vec::new();
+        let mut all = Vec::new();
+        for w in fsr_workloads::all() {
+            want.extend(results(run_batch(sched_jobs(&w, 4, backend, sched), 1)));
+            all.extend(sched_jobs(&w, 4, backend, sched));
+        }
+        let got = results(run_batch(all, 2));
+        assert_eq!(want.len(), got.len());
+        for ((ctx, a), (_, b)) in want.iter().zip(&got) {
+            assert_same(a, b, &format!("{ctx} at width 2"));
         }
     }
 }
@@ -134,7 +105,7 @@ fn work_steal_fixed_seed_is_bit_identical_across_engines_and_shards() {
 fn round_robin_is_the_default_and_never_steals() {
     let w = fsr_workloads::by_name("maxflow").unwrap();
     let backend = backend_pairs()[0];
-    let default_cfg = results(run_batch_sharded(
+    let default_cfg = results(run_batch(
         {
             let src: Arc<str> = Arc::from(w.source);
             vec![Job::new(
@@ -146,12 +117,10 @@ fn round_robin_is_the_default_and_never_steals() {
             )]
         },
         1,
-        ShardMode::Off,
     ));
-    let explicit = results(run_batch_sharded(
-        sched_jobs(&w, 4, backend, SimEngine::default(), Schedule::RoundRobin),
+    let explicit = results(run_batch(
+        sched_jobs(&w, 4, backend, Schedule::RoundRobin),
         1,
-        ShardMode::Off,
     ));
     assert_same(&default_cfg[0].1, &explicit[0].1, "explicit rr vs default");
     assert_eq!(explicit[0].1.interp.steals, 0, "round-robin never steals");
@@ -186,7 +155,7 @@ fn distinct_seeds_split_trace_groups_same_seed_shares() {
             )
         })
         .collect();
-    let (_, stats) = run_batch_sharded_with_stats(same_seed, 1, ShardMode::Off);
+    let (_, stats) = run_batch_with_stats(same_seed, 1);
     assert_eq!(stats.trace_groups, 1, "same seed shares the trace group");
     assert_eq!(stats.interpretations, 1, "one pass drives both blocks");
 
@@ -194,12 +163,12 @@ fn distinct_seeds_split_trace_groups_same_seed_shares() {
     let jobs: Vec<Job<String>> = [a, b]
         .into_iter()
         .flat_map(|s| {
-            let mut js = sched_jobs(&w, 4, backend, SimEngine::Scalar, s);
+            let mut js = sched_jobs(&w, 4, backend, s);
             js.truncate(1); // unoptimized only
             js
         })
         .collect();
-    let (out, stats) = run_batch_sharded_with_stats(jobs, 1, ShardMode::Off);
+    let (out, stats) = run_batch_with_stats(jobs, 1);
     assert_eq!(
         stats.trace_groups, 2,
         "seeds must not collide into one group"
@@ -232,7 +201,7 @@ fn world_caches_miss_across_seeds_and_hit_within_one() {
             PlanSourceSpec::Unoptimized,
             cfg,
         );
-        let (out, stats) = snapshot.run_batch_sharded_with_stats(vec![job], 1, ShardMode::Off);
+        let (out, stats) = snapshot.run_batch_with_stats(vec![job], 1);
         (results(out).remove(0).1, stats)
     };
 
@@ -265,18 +234,16 @@ proptest! {
         let w = fsr_workloads::by_name("radiosity").unwrap();
         let backend = backend_pairs()[1];
         let mk = |seed| {
-            let mut js = sched_jobs(&w, 3, backend, SimEngine::Scalar,
-                                    Schedule::WorkSteal { seed });
+            let mut js = sched_jobs(&w, 3, backend, Schedule::WorkSteal { seed });
             js.truncate(1);
             js.remove(0)
         };
-        let (out, stats) =
-            run_batch_sharded_with_stats(vec![mk(s1), mk(s2)], 1, ShardMode::Off);
+        let (out, stats) = run_batch_with_stats(vec![mk(s1), mk(s2)], 1);
         prop_assert_eq!(stats.trace_groups, 2);
         prop_assert_eq!(stats.interpretations, 2);
         prop_assert_eq!(stats.trace_hits, 0);
         let pair = results(out);
-        let solo = results(run_batch_sharded(vec![mk(s1)], 1, ShardMode::Off));
+        let solo = results(run_batch(vec![mk(s1)], 1));
         assert_same(&pair[0].1, &solo[0].1, "seed rerun reproduces exactly");
     }
 }

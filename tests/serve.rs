@@ -2,7 +2,7 @@
 //! result it serves — to any number of concurrent clients, in any
 //! interleaving, warm or cold — must be bit-identical to what the
 //! one-shot `run_batch` pipeline computes for the same cell. The matrix
-//! is the `tests/shard.rs` acceptance grid: all ten workloads × all
+//! is the `tests/oracle.rs` acceptance grid: all ten workloads × all
 //! three protocol backends.
 
 use fsr_core::driver::{Job, PlanSourceSpec};

@@ -6,7 +6,7 @@
 //! technique) and through `Arc` pointer identity of the untouched
 //! front ends.
 
-use fsr_core::driver::{Job, PlanSourceSpec, ShardMode};
+use fsr_core::driver::{Job, PlanSourceSpec};
 use fsr_core::{PipelineConfig, World};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -44,7 +44,7 @@ fn run_all(world: &World, docs: &[&str]) -> (Vec<u64>, fsr_core::driver::BatchSt
         .enumerate()
         .map(|(i, name)| job(&snapshot.doc(name).expect("doc open"), i))
         .collect();
-    let (out, stats) = snapshot.run_batch_sharded_with_stats(jobs, 1, ShardMode::Off);
+    let (out, stats) = snapshot.run_batch_with_stats(jobs, 1);
     let cycles = out
         .into_iter()
         .map(|(_, r)| r.expect("clean run").exec_cycles)
