@@ -14,9 +14,10 @@
 use fsr_bench::Knobs;
 use fsr_core::driver::{run_jobs, Job, PlanSourceSpec};
 use fsr_core::experiments::{
-    figure3, headline_from_rows, plan_spec, table2, Fig3Row, Headline, Table2Row, Vsn,
+    figure3, headline_from_rows, plan_spec, table2, Fig3Row, Table2Row, Vsn,
 };
-use fsr_core::{plan_of, PipelineConfig, PlanSource};
+use fsr_core::world::FrontEnd;
+use fsr_core::PipelineConfig;
 use fsr_transform::ObjPlan;
 use std::sync::Arc;
 use std::time::Instant;
@@ -72,10 +73,9 @@ fn table2_unbatched(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> V
         let mut dropped = 0usize;
         for &b in blocks {
             let cfg = PipelineConfig::with_block(b);
-            let prog =
-                fsr_lang::compile_with_params(w.source, &[("NPROC", nproc), ("SCALE", scale)])
-                    .expect("workload compiles");
-            let full = plan_of(&prog, &PlanSource::Compiler, &cfg).expect("plan");
+            let params = [("NPROC".to_string(), nproc), ("SCALE".to_string(), scale)];
+            let fe = FrontEnd::compile(w.source, &params).expect("workload compiles");
+            let full = fe.plan(&PlanSourceSpec::Compiler, &cfg).expect("plan");
             let cells = [
                 PlanSourceSpec::Unoptimized,
                 PlanSourceSpec::Explicit(full.clone()),
@@ -94,7 +94,7 @@ fn table2_unbatched(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> V
                 .map(|(cell, plan)| Job {
                     meta: cell,
                     src: Arc::from(w.source),
-                    params: vec![("NPROC".into(), nproc), ("SCALE".into(), scale)],
+                    params: params.to_vec(),
                     plan,
                     cfg: cfg.clone(),
                 })
@@ -134,41 +134,11 @@ fn table2_unbatched(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> V
     rows
 }
 
-fn same_fig3(a: &[Fig3Row], b: &[Fig3Row]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.program == y.program
-                && x.block == y.block
-                && x.version == y.version
-                && x.protocol == y.protocol
-                && x.interconnect == y.interconnect
-                && x.refs == y.refs
-                && x.fs_miss_rate.to_bits() == y.fs_miss_rate.to_bits()
-                && x.other_miss_rate.to_bits() == y.other_miss_rate.to_bits()
-        })
-}
-
-fn same_table2(a: &[Table2Row], b: &[Table2Row]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.program == y.program
-                && x.protocol == y.protocol
-                && x.interconnect == y.interconnect
-                && x.total_reduction_pct.to_bits() == y.total_reduction_pct.to_bits()
-                && x.transpose_pct.to_bits() == y.transpose_pct.to_bits()
-                && x.indirection_pct.to_bits() == y.indirection_pct.to_bits()
-                && x.pad_pct.to_bits() == y.pad_pct.to_bits()
-                && x.locks_pct.to_bits() == y.locks_pct.to_bits()
-                && x.dropped_blocks == y.dropped_blocks
-        })
-}
-
-fn same_headline(a: &Headline, b: &Headline) -> bool {
-    a.block == b.block
-        && a.fs_share_of_misses.to_bits() == b.fs_share_of_misses.to_bits()
-        && a.fs_eliminated.to_bits() == b.fs_eliminated.to_bits()
-        && a.other_miss_change.to_bits() == b.other_miss_change.to_bits()
-        && a.total_miss_change.to_bits() == b.total_miss_change.to_bits()
+/// Bit-identity of two result sets: `f64`'s `Debug` rendering is the
+/// shortest string that round-trips, so equal renderings mean equal bits
+/// in every field.
+fn same<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
+    format!("{a:?}") == format!("{b:?}")
 }
 
 fn main() {
@@ -201,9 +171,9 @@ fn main() {
     let batched = t1.elapsed();
     let batched_interps = fsr_interp::runs_started() - i1;
 
-    let identical = same_fig3(&ref_fig3, &new_fig3)
-        && same_table2(&ref_table2, &new_table2)
-        && same_headline(&ref_headline, &new_headline);
+    let identical = same(&ref_fig3, &new_fig3)
+        && same(&ref_table2, &new_table2)
+        && same(&ref_headline, &new_headline);
     assert!(identical, "batched results diverge from the reference path");
 
     let speedup = unbatched.as_secs_f64() / batched.as_secs_f64().max(1e-9);

@@ -15,34 +15,17 @@
 //! workloads); the cost columns are where the substrates diverge.
 //!
 //! Knobs: `FSR_NPROC`, `FSR_SCALE`, `FSR_THREADS` as usual, plus
-//! `FSR_ABLATION_WORKLOADS` (comma-separated names, default: all ten).
+//! `FSR_ABLATION_WORKLOADS` (comma-separated names, default: all ten;
+//! an unknown name exits 2).
 //!
 //! [`Backend::ABLATION`]: fsr_core::experiments::Backend::ABLATION
 
-use fsr_bench::{Knobs, Table};
+use fsr_bench::{json_str, Knobs, Table};
 use fsr_core::experiments::{directory_ablation, AblationRow};
 use fsr_core::MissKind;
 use std::fmt::Write as _;
 
 const BLOCK: u32 = 128;
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn row_json(r: &AblationRow) -> String {
     let mut s = String::new();
@@ -86,19 +69,16 @@ fn row_json(r: &AblationRow) -> String {
 
 fn main() {
     let k = Knobs::from_env();
-    let names_env = std::env::var("FSR_ABLATION_WORKLOADS").unwrap_or_default();
-    let names: Vec<&str> = if names_env.is_empty() {
-        fsr_workloads::all().iter().map(|w| w.name).collect()
-    } else {
-        names_env.split(',').map(str::trim).collect()
-    };
+    let all: Vec<&str> = fsr_workloads::all().iter().map(|w| w.name).collect();
+    let set = fsr_bench::workloads_from_env("FSR_ABLATION_WORKLOADS", &all);
+    let names: Vec<&str> = set.iter().map(|w| w.name).collect();
     eprintln!(
         "directory_ablation: nproc={} scale={} block={} workloads={names:?}",
         k.nproc, k.scale, BLOCK
     );
 
-    let rows = directory_ablation(&names, k.nproc, k.scale, BLOCK, k.threads);
-    assert!(!rows.is_empty(), "no workloads matched {names:?}");
+    let rows = directory_ablation(&set, k.nproc, k.scale, BLOCK, k.threads);
+    assert!(!rows.is_empty(), "no rows for {names:?}");
 
     let mut t = Table::new(&[
         "program", "version", "protocol", "net", "fs_miss", "fs_stall", "exec", "dir_txn", "3hop",

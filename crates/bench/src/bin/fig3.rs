@@ -7,7 +7,7 @@ use fsr_core::experiments::figure3;
 
 fn main() {
     let k = Knobs::from_env();
-    if std::env::args().any(|a| a == "--smoke") {
+    if fsr_bench::flag("--smoke") {
         // Quick end-to-end sanity pass for CI: small config, shape checks
         // only. Used by scripts/tier1.sh.
         let rows = figure3(4, 1, &[16, 128], k.threads);

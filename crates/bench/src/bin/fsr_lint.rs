@@ -25,6 +25,7 @@
 //! Both dimensions are fixed at `NPROC=4, SCALE=1` so reports are
 //! byte-stable.
 
+use fsr_bench::json_str;
 use fsr_interp::HbChecker;
 use fsr_lang::ast::{ObjectKind, Program};
 use fsr_workloads as workloads;
@@ -33,24 +34,6 @@ use std::fmt::Write as _;
 
 const NPROC: i64 = 4;
 const SCALE: i64 = 1;
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn json_list(items: &BTreeSet<String>) -> String {
     let inner: Vec<String> = items.iter().map(|s| json_str(s)).collect();
@@ -281,7 +264,7 @@ fn advise() -> i32 {
         let res = fsr_core::run_pipeline(
             w.source,
             &[("NPROC", NPROC), ("SCALE", SCALE)],
-            fsr_core::PlanSource::Unoptimized,
+            fsr_core::PlanSourceSpec::Unoptimized,
             &cfg,
         )
         .unwrap_or_else(|e| panic!("{}: pipeline: {e:?}", w.name));

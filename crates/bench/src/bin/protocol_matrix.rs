@@ -11,34 +11,16 @@
 //!
 //! Knobs: `FSR_NPROC`, `FSR_SCALE`, `FSR_THREADS` as usual, plus
 //! `FSR_MATRIX_WORKLOADS` (comma-separated names, default
-//! `raytrace,pverify,maxflow,topopt`).
+//! `raytrace,pverify,maxflow,topopt`; an unknown name exits 2).
 
-use fsr_bench::{Knobs, Table};
+use fsr_bench::{json_str, Knobs, Table};
 use fsr_core::experiments::{protocol_matrix_cells, MatrixCell, Vsn};
 use fsr_core::{CoherenceEvent, InterconnectKind, MissKind, ProtocolKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 const BLOCK: u32 = 128;
-const DEFAULT_WORKLOADS: &str = "raytrace,pverify,maxflow,topopt";
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+const DEFAULT_WORKLOADS: [&str; 4] = ["raytrace", "pverify", "maxflow", "topopt"];
 
 fn cell_json(c: &MatrixCell) -> String {
     let mut s = String::new();
@@ -100,9 +82,8 @@ fn cell_json(c: &MatrixCell) -> String {
 
 fn main() {
     let k = Knobs::from_env();
-    let names_env =
-        std::env::var("FSR_MATRIX_WORKLOADS").unwrap_or_else(|_| DEFAULT_WORKLOADS.into());
-    let names: Vec<&str> = names_env.split(',').map(str::trim).collect();
+    let set = fsr_bench::workloads_from_env("FSR_MATRIX_WORKLOADS", &DEFAULT_WORKLOADS);
+    let names: Vec<&str> = set.iter().map(|w| w.name).collect();
     eprintln!(
         "protocol_matrix: nproc={} scale={} block={} workloads={names:?}",
         k.nproc, k.scale, BLOCK
@@ -117,7 +98,7 @@ fn main() {
         for ic in InterconnectKind::ALL {
             let start = Instant::now();
             let pair_cells = protocol_matrix_cells(
-                &names,
+                &set,
                 &[Vsn::N, Vsn::C],
                 k.nproc,
                 k.scale,
@@ -130,7 +111,7 @@ fn main() {
             cells.extend(pair_cells);
         }
     }
-    assert!(!cells.is_empty(), "no workloads matched {names:?}");
+    assert!(!cells.is_empty(), "no cells for {names:?}");
 
     let mut t = Table::new(&[
         "program", "version", "protocol", "net", "exec", "queue", "inval", "upgr", "intv", "excl",

@@ -67,7 +67,7 @@ struct Row {
 
 fn main() {
     let k = Knobs::from_env();
-    let golden = std::env::args().any(|a| a == "--golden");
+    let golden = fsr_bench::flag("--golden");
     eprintln!(
         "steal_sweep: nproc={} scale={} block={BLOCK} seeds={WS_SEEDS:?}",
         k.nproc, k.scale

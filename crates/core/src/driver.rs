@@ -1,10 +1,12 @@
 //! Experiment drivers.
 //!
-//! Two entry points run a set of independent experiment configurations:
+//! Every pipeline run goes through one batch engine. Two entry points
+//! feed it a set of independent experiment configurations:
 //!
-//! - [`run_jobs`] — the reference path: every job runs the full pipeline
-//!   (parse, check, analyze, plan, lay out, interpret, simulate) by
-//!   itself on a worker pool.
+//! - [`run_jobs`] — the reference path: every job is a batch of one on
+//!   its own transient [`World`], so nothing (front end, analysis,
+//!   interpretation) is shared between jobs; the jobs run on a worker
+//!   pool.
 //! - [`run_batch`] — the trace-once/simulate-many engine. Front-end
 //!   artifacts (checked [`Program`](crate::Program), analysis, bytecode)
 //!   are compiled once per distinct (source, params) and shared via
@@ -28,8 +30,8 @@
 //! job's simulator and timing model on the unit's own thread.
 
 use crate::world::{CachedTrace, Caches, FeKey, FrontEnd, RunCounters, World};
-use crate::{run_pipeline, PipelineConfig, PipelineError, PlanSource, RunResult};
-use fsr_interp::{MemRef, RunStats, TeeSink, TraceEvent, TraceSink};
+use crate::{PipelineConfig, PipelineError, RunResult};
+use fsr_interp::{MemRef, RecordedTrace, RunStats, TeeSink, TraceSink};
 use fsr_lang::ast::WORD_BYTES;
 use fsr_layout::Layout;
 use fsr_machine::TimingModel;
@@ -75,24 +77,18 @@ impl<M> Job<M> {
     }
 }
 
-/// Cloneable plan-source description (function pointers are fine).
+/// Where a job's layout plan comes from. [`FrontEnd::plan`] builds it.
 #[derive(Debug, Clone)]
 pub enum PlanSourceSpec {
+    /// Original declaration-order packed layout ("N" versions).
     Unoptimized,
+    /// The compiler's analysis + §3.3 heuristics ("C" versions).
     Compiler,
+    /// A hand-written plan ("P" programmer versions), built from the
+    /// checked program.
     Programmer(fn(&crate::Program, u32) -> crate::LayoutPlan),
+    /// An explicit plan (ablation studies).
     Explicit(crate::LayoutPlan),
-}
-
-impl From<&PlanSourceSpec> for PlanSource {
-    fn from(s: &PlanSourceSpec) -> PlanSource {
-        match s {
-            PlanSourceSpec::Unoptimized => PlanSource::Unoptimized,
-            PlanSourceSpec::Compiler => PlanSource::Compiler,
-            PlanSourceSpec::Programmer(f) => PlanSource::Programmer(*f),
-            PlanSourceSpec::Explicit(p) => PlanSource::Explicit(p.clone()),
-        }
-    }
 }
 
 /// Failure of the driver machinery itself, as opposed to a pipeline
@@ -234,16 +230,23 @@ pub type JobResults<M> = Vec<(Job<M>, Result<RunResult, PipelineError>)>;
 pub type BatchNotify<'a> = &'a (dyn Fn(usize, &Result<RunResult, PipelineError>) + Sync);
 
 /// Run all jobs independently, using up to `threads` worker threads
-/// (0 = available parallelism). Results keep job order.
+/// (0 = available parallelism): each job is a batch of one on its own
+/// transient [`World`]. Results keep job order.
 pub fn run_jobs<M: Sync + fmt::Debug>(jobs: Vec<Job<M>>, threads: usize) -> JobResults<M> {
     let results = parallel_map(&jobs, threads, |job: &Job<M>| {
-        let params: Vec<(&str, i64)> = job.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        run_pipeline(&job.src, &params, (&job.plan).into(), &job.cfg)
+        let one = std::slice::from_ref(job);
+        let (mut out, _) = run_batch_in(World::transient().snapshot().caches(), one, 1, None);
+        out.remove(0)
     });
     let results: Vec<Result<RunResult, PipelineError>> = results
         .into_iter()
         .enumerate()
         .map(|(j, r)| match r {
+            // A panic caught inside the one-job batch names index 0;
+            // report it against the job's place in this submission.
+            Ok(Err(PipelineError::Driver(DriverError::WorkerPanic { stage, payload, .. }))) => {
+                Err(worker_panic(stage, j, &jobs, payload))
+            }
             Ok(r) => r,
             Err(payload) => Err(worker_panic("pipeline", j, &jobs, payload)),
         })
@@ -322,15 +325,16 @@ pub fn run_batch_with_stats<M: Sync + fmt::Debug>(
     jobs: Vec<Job<M>>,
     threads: usize,
 ) -> (JobResults<M>, BatchStats) {
-    let world = World::transient();
-    let snapshot = world.snapshot();
-    run_batch_in(snapshot.caches(), jobs, threads, None)
+    World::transient()
+        .snapshot()
+        .run_batch_with_stats(jobs, threads)
 }
 
-/// The batch engine, running against a [`World`]'s caches. All public
-/// batch entry points funnel here — transient worlds reproduce the
-/// classic one-shot behavior bit-for-bit, persistent worlds additionally
-/// consult and feed the result and trace caches.
+/// The batch engine, running against a [`World`]'s caches. Every
+/// pipeline run funnels here — transient worlds reproduce the classic
+/// one-shot behavior bit-for-bit, persistent worlds additionally
+/// consult and feed the result and trace caches. Returns one result per
+/// job, in job order.
 ///
 /// `notify`, when given, fires once per job with its final result, from
 /// whichever worker resolved it: result-cache hits immediately (in
@@ -339,10 +343,10 @@ pub fn run_batch_with_stats<M: Sync + fmt::Debug>(
 /// how `fsr-serve` streams per-cell results before the batch completes.
 pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
     caches: &Caches,
-    jobs: Vec<Job<M>>,
+    jobs: &[Job<M>],
     threads: usize,
     notify: Option<BatchNotify<'_>>,
-) -> (JobResults<M>, BatchStats) {
+) -> (Vec<Result<RunResult, PipelineError>>, BatchStats) {
     let n = jobs.len();
     let mut stats = BatchStats {
         jobs: n,
@@ -423,7 +427,7 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
         .zip(&fe_inputs)
         .map(|(r, &(j, _))| match r {
             Ok(r) => r,
-            Err(payload) => Err(worker_panic("front end", j, &jobs, payload)),
+            Err(payload) => Err(worker_panic("front end", j, jobs, payload)),
         })
         .collect();
 
@@ -434,22 +438,7 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
         let fe: &FrontEnd = fronts[fe_of_job[j]]
             .as_ref()
             .map_err(PipelineError::clone)?;
-        let job = &jobs[j];
-        let plan = match &job.plan {
-            PlanSourceSpec::Unoptimized => crate::LayoutPlan::unoptimized(job.cfg.block_bytes),
-            PlanSourceSpec::Compiler => {
-                let analysis = fe.analysis()?;
-                let mut plan_cfg = job.cfg.plan_cfg;
-                plan_cfg.block_bytes = job.cfg.block_bytes;
-                fsr_transform::plan_for(&fe.prog, &analysis, &plan_cfg)
-            }
-            PlanSourceSpec::Programmer(f) => f(&fe.prog, job.cfg.block_bytes),
-            PlanSourceSpec::Explicit(p) => {
-                let mut p = p.clone();
-                p.block_bytes = job.cfg.block_bytes;
-                p
-            }
-        };
+        let plan = fe.plan(&jobs[j].plan, &jobs[j].cfg)?;
         let layout = Layout::try_build(&fe.prog, &plan, fe.nproc)?;
         let fingerprint = layout.trace_fingerprint();
         Ok(Prep {
@@ -462,7 +451,7 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
     for (r, &j) in prep_results.into_iter().zip(&active) {
         preps[j] = Some(match r {
             Ok(r) => r,
-            Err(payload) => Err(worker_panic("plan/layout", j, &jobs, payload)),
+            Err(payload) => Err(worker_panic("plan/layout", j, jobs, payload)),
         });
     }
     for j in 0..n {
@@ -534,7 +523,7 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
     // per unit, fanned out to per-job simulators + timing models; the
     // worker pool runs units concurrently.
     let group_outputs = parallel_map(&units, threads, |unit| {
-        let out = run_unit(&jobs, &fronts, &fe_of_job, &preps, unit, caches, &rc);
+        let out = run_unit(jobs, &fronts, &fe_of_job, &preps, unit, caches, &rc);
         for (j, r) in &out {
             notify_one(*j, r);
         }
@@ -552,7 +541,7 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
             // the unit.
             Err(payload) => {
                 for &j in units[u].iter().flatten() {
-                    let r = Err(worker_panic("simulate", j, &jobs, payload.clone()));
+                    let r = Err(worker_panic("simulate", j, jobs, payload.clone()));
                     notify_one(j, &r);
                     slots[j] = Some(r);
                 }
@@ -576,10 +565,9 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
         }
     }
 
-    let results = jobs
+    let results = slots
         .into_iter()
-        .zip(slots)
-        .map(|(job, r)| (job, r.expect("every job resolved")))
+        .map(|r| r.expect("every job resolved"))
         .collect();
     (results, stats)
 }
@@ -611,41 +599,31 @@ fn translate(map: Option<&Vec<u32>>, addr: u32) -> u32 {
     }
 }
 
-/// Dispatch one recorded event into a sink.
-fn feed(sink: &mut dyn TraceSink, e: &TraceEvent) {
-    match e {
-        TraceEvent::Access(r) => sink.access(*r),
-        TraceEvent::Sync(pids) => sink.sync(pids),
-        TraceEvent::Handoff { from, to } => sink.handoff(*from, *to),
-        TraceEvent::Steal { thief, victim } => sink.steal(*thief, *victim),
-    }
-}
-
 /// Tee that captures the interpreter's event stream for the trace cache
 /// while forwarding it unchanged to the real consumer.
 struct RecordingSink<'a> {
-    events: &'a mut Vec<TraceEvent>,
+    trace: &'a mut RecordedTrace,
     inner: &'a mut dyn TraceSink,
 }
 
 impl TraceSink for RecordingSink<'_> {
     fn access(&mut self, r: MemRef) {
-        self.events.push(TraceEvent::Access(r));
+        self.trace.access(r);
         self.inner.access(r);
     }
 
     fn sync(&mut self, pids: &[u32]) {
-        self.events.push(TraceEvent::Sync(pids.to_vec()));
+        self.trace.sync(pids);
         self.inner.sync(pids);
     }
 
     fn handoff(&mut self, from: u32, to: u32) {
-        self.events.push(TraceEvent::Handoff { from, to });
+        self.trace.handoff(from, to);
         self.inner.handoff(from, to);
     }
 
     fn steal(&mut self, thief: u32, victim: u32) {
-        self.events.push(TraceEvent::Steal { thief, victim });
+        self.trace.steal(thief, victim);
         self.inner.steal(thief, victim);
     }
 }
@@ -736,18 +714,16 @@ fn run_unit<M>(
         })
         .collect();
     let mut tee = TeeSink::new(group_sinks);
-    let mut recorded: Vec<TraceEvent> = Vec::new();
+    let mut recorded = RecordedTrace::default();
 
     let run_out: Result<RunStats, fsr_interp::RuntimeError> = match &cached {
         Some(ct) => {
-            for e in ct.events.iter() {
-                feed(&mut tee, e);
-            }
+            ct.trace.replay(&mut tee);
             Ok(ct.interp.clone())
         }
         None if record => {
             let mut rec = RecordingSink {
-                events: &mut recorded,
+                trace: &mut recorded,
                 inner: &mut tee,
             };
             fsr_interp::run(&fe.prog, rep_layout, &fe.code, jobs[rep].cfg.run, &mut rec)
@@ -788,11 +764,11 @@ fn run_unit<M>(
             if record {
                 caches.trace_put(
                     tkey,
-                    CachedTrace {
-                        events: Arc::new(recorded),
+                    Arc::new(CachedTrace {
+                        trace: recorded,
                         interp: stats,
                         layout: rep_layout.clone(),
-                    },
+                    }),
                 );
             }
             out
@@ -906,15 +882,31 @@ mod tests {
 
     #[test]
     fn errors_are_reported_per_job() {
-        let jobs = vec![Job {
+        let mut jobs = vec![Job {
             meta: (),
             src: Arc::from("fn main() {"),
             params: vec![],
             plan: PlanSourceSpec::Unoptimized,
             cfg: PipelineConfig::default(),
         }];
+        let panicking = PlanSourceSpec::Programmer(|_, _| panic!("plan exploded deliberately"));
+        jobs.push(Job {
+            src: Arc::from(COUNTERS),
+            plan: panicking,
+            ..jobs[0].clone()
+        });
         let out = run_jobs(jobs, 1);
         assert!(out[0].1.is_err());
+        // The panic is caught inside the job's own one-job batch and
+        // reported against its index in this submission.
+        let e = &out[1].1;
+        let stage_and_index = match e {
+            Err(PipelineError::Driver(DriverError::WorkerPanic {
+                stage, job_index, ..
+            })) => Some((*stage, *job_index)),
+            _ => None,
+        };
+        assert_eq!(stage_and_index, Some(("plan/layout", 1)), "{e:?}");
     }
 
     #[test]

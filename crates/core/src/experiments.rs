@@ -20,7 +20,7 @@
 use crate::driver::{run_batch, Job, PlanSourceSpec};
 use crate::{
     run_pipeline, InterconnectKind, MissKind, ObjCoherence, PipelineConfig, PipelineError,
-    PlanSource, ProtocolKind, RunResult, SimStats,
+    ProtocolKind, SimStats,
 };
 use fsr_machine::SpeedupCurve;
 use fsr_transform::ObjPlan;
@@ -46,9 +46,9 @@ impl Vsn {
     }
 }
 
-/// The simulator/timing backend an experiment grid runs against — the
-/// protocol/interconnect axis every generator now carries (previously
-/// `figure3`/`table2` were hard-wired to MSI + KSR2 ring).
+/// The simulator/timing backend an experiment grid runs against: a
+/// (protocol, interconnect) pair. The paper's figures and tables run on
+/// the default; the directory ablation compares [`Backend::ABLATION`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Backend {
     pub protocol: ProtocolKind,
@@ -86,18 +86,6 @@ impl Backend {
 }
 
 /// Plan source for a workload version.
-pub fn plan_source(w: &Workload, v: Vsn) -> PlanSource {
-    match v {
-        Vsn::N => PlanSource::Unoptimized,
-        Vsn::C => PlanSource::Compiler,
-        Vsn::P => match w.programmer_plan {
-            Some(f) => PlanSource::Programmer(f),
-            None => PlanSource::Unoptimized,
-        },
-    }
-}
-
-/// Driver-level plan spec for a workload version.
 pub fn plan_spec(w: &Workload, v: Vsn) -> PlanSourceSpec {
     match v {
         Vsn::N => PlanSourceSpec::Unoptimized,
@@ -111,23 +99,6 @@ pub fn plan_spec(w: &Workload, v: Vsn) -> PlanSourceSpec {
 
 fn std_params(nproc: i64, scale: i64) -> Vec<(String, i64)> {
     vec![("NPROC".to_string(), nproc), ("SCALE".to_string(), scale)]
-}
-
-/// Run one workload version at a given processor count, scale and block.
-pub fn run_workload(
-    w: &Workload,
-    v: Vsn,
-    nproc: i64,
-    scale: i64,
-    block: u32,
-) -> Result<RunResult, PipelineError> {
-    let cfg = PipelineConfig::with_block(block);
-    run_pipeline(
-        w.source,
-        &[("NPROC", nproc), ("SCALE", scale)],
-        plan_source(w, v),
-        &cfg,
-    )
 }
 
 /// One Figure 3 bar: miss rates split into false-sharing and other.
@@ -155,17 +126,7 @@ struct Fig3Meta {
 /// Figure 3: the six N+C programs at the given block sizes (paper: 16
 /// and 128 bytes, 12 processors), on the paper's MSI + ring substrate.
 pub fn figure3(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> Vec<Fig3Row> {
-    figure3_on(Backend::default(), nproc, scale, blocks, threads)
-}
-
-/// [`figure3`] on an explicit backend.
-pub fn figure3_on(
-    backend: Backend,
-    nproc: i64,
-    scale: i64,
-    blocks: &[u32],
-    threads: usize,
-) -> Vec<Fig3Row> {
+    let backend = Backend::default();
     let set = fsr_workloads::figure3_set();
     let mut jobs = Vec::new();
     for w in &set {
@@ -234,7 +195,8 @@ struct T2Meta {
     cell: usize,
 }
 
-/// Table 2: averaged over the given block sizes (paper: 8–256 bytes).
+/// Table 2: averaged over the given block sizes (paper: 8–256 bytes),
+/// on the paper's MSI + ring substrate.
 ///
 /// All (program, block, cell) samples run as one batch; baselines whose
 /// layout does not depend on the block size collapse into a single
@@ -245,17 +207,7 @@ pub fn table2(
     blocks: &[u32],
     threads: usize,
 ) -> Result<Vec<Table2Row>, PipelineError> {
-    table2_on(Backend::default(), nproc, scale, blocks, threads)
-}
-
-/// [`table2`] on an explicit backend.
-pub fn table2_on(
-    backend: Backend,
-    nproc: i64,
-    scale: i64,
-    blocks: &[u32],
-    threads: usize,
-) -> Result<Vec<Table2Row>, PipelineError> {
+    let backend = Backend::default();
     let set = fsr_workloads::figure3_set();
     let mut jobs: Vec<Job<T2Meta>> = Vec::new();
     for (wi, w) in set.iter().enumerate() {
@@ -354,19 +306,7 @@ pub fn speedup_sweep(
     block: u32,
     threads: usize,
 ) -> SpeedupCurve {
-    speedup_sweep_on(Backend::default(), w, v, procs, scale, block, threads)
-}
-
-/// [`speedup_sweep`] on an explicit backend.
-pub fn speedup_sweep_on(
-    backend: Backend,
-    w: &Workload,
-    v: Vsn,
-    procs: &[u32],
-    scale: i64,
-    block: u32,
-    threads: usize,
-) -> SpeedupCurve {
+    let backend = Backend::default();
     let src: Arc<str> = Arc::from(w.source);
     let jobs: Vec<Job<u32>> = procs
         .iter()
@@ -390,7 +330,13 @@ pub fn speedup_sweep_on(
 /// The uniprocessor execution time of the unoptimized version — the
 /// baseline every speedup in Figure 4 / Table 3 is relative to.
 pub fn t1_unoptimized(w: &Workload, scale: i64, block: u32) -> Result<u64, PipelineError> {
-    Ok(run_workload(w, Vsn::N, 1, scale, block)?.exec_cycles)
+    let r = run_pipeline(
+        w.source,
+        &[("NPROC", 1), ("SCALE", scale)],
+        PlanSourceSpec::Unoptimized,
+        &PipelineConfig::with_block(block),
+    )?;
+    Ok(r.exec_cycles)
 }
 
 /// One Table 3 row.
@@ -416,17 +362,7 @@ struct T3Meta {
 /// Table 3 for all ten programs, as one batch over every (program,
 /// version, #procs) point plus the per-program baselines.
 pub fn table3(procs: &[u32], scale: i64, block: u32, threads: usize) -> Vec<Table3Row> {
-    table3_on(Backend::default(), procs, scale, block, threads)
-}
-
-/// [`table3`] on an explicit backend.
-pub fn table3_on(
-    backend: Backend,
-    procs: &[u32],
-    scale: i64,
-    block: u32,
-    threads: usize,
-) -> Vec<Table3Row> {
+    let backend = Backend::default();
     let all = fsr_workloads::all();
     let mut jobs: Vec<Job<T3Meta>> = Vec::new();
     for (wi, w) in all.iter().enumerate() {
@@ -572,38 +508,17 @@ struct MxMeta {
     ic: InterconnectKind,
 }
 
-/// Cross-backend sweep: every workload × version × coherence protocol ×
-/// interconnect, one cell each, as a single [`run_batch`] call.
+/// Cross-backend sweep: every workload × version × listed coherence
+/// protocol × listed interconnect, one cell each, as a single
+/// [`run_batch`] call.
 ///
 /// The batch groups by (front end, run config, layout fingerprint) —
 /// protocol and interconnect are simulator/timing state, not trace
 /// state — so all backend variants of one program version share a
 /// single interpretation, exactly like a block-size sweep does.
-pub fn protocol_matrix(
-    programs: &[&str],
-    versions: &[Vsn],
-    nproc: i64,
-    scale: i64,
-    block: u32,
-    threads: usize,
-) -> Vec<MatrixCell> {
-    protocol_matrix_cells(
-        programs,
-        versions,
-        nproc,
-        scale,
-        block,
-        threads,
-        &ProtocolKind::ALL,
-        &InterconnectKind::ALL,
-    )
-}
-
-/// [`protocol_matrix`] over an explicit (protocol, interconnect) subset
-/// — the unit the matrix bench times per backend pair.
 #[allow(clippy::too_many_arguments)]
 pub fn protocol_matrix_cells(
-    programs: &[&str],
+    set: &[Workload],
     versions: &[Vsn],
     nproc: i64,
     scale: i64,
@@ -612,10 +527,6 @@ pub fn protocol_matrix_cells(
     protocols: &[ProtocolKind],
     interconnects: &[InterconnectKind],
 ) -> Vec<MatrixCell> {
-    let set: Vec<_> = programs
-        .iter()
-        .filter_map(|n| fsr_workloads::by_name(n))
-        .collect();
     let mut jobs: Vec<Job<MxMeta>> = Vec::new();
     for (wi, w) in set.iter().enumerate() {
         let src: Arc<str> = Arc::from(w.source);
@@ -698,22 +609,18 @@ struct AblMeta {
     backend: Backend,
 }
 
-/// The directory ablation: every listed workload × {unopt, compiler} ×
+/// The directory ablation: every given workload × {unopt, compiler} ×
 /// [`Backend::ABLATION`], one [`run_batch`] call. The unopt-vs-compiler
 /// pair shows how much of each backend's cost the paper's
 /// transformations recover; the backend axis shows how the *same*
 /// misses are charged by broadcast vs directory substrates.
 pub fn directory_ablation(
-    programs: &[&str],
+    set: &[Workload],
     nproc: i64,
     scale: i64,
     block: u32,
     threads: usize,
 ) -> Vec<AblationRow> {
-    let set: Vec<_> = programs
-        .iter()
-        .filter_map(|n| fsr_workloads::by_name(n))
-        .collect();
     let mut jobs: Vec<Job<AblMeta>> = Vec::new();
     for (wi, w) in set.iter().enumerate() {
         let src: Arc<str> = Arc::from(w.source);

@@ -9,14 +9,14 @@
 //!
 //! # Example
 //! ```
-//! use fsr_core::{run_pipeline, PipelineConfig, PlanSource};
+//! use fsr_core::{run_pipeline, PipelineConfig, PlanSourceSpec};
 //!
 //! let src = "param NPROC = 4; shared int c[NPROC];
 //!            fn main() { forall p in 0 .. NPROC { var i;
 //!                for i in 0 .. 200 { c[p] = c[p] + 1; } } }";
-//! let base = run_pipeline(src, &[], PlanSource::Unoptimized,
+//! let base = run_pipeline(src, &[], PlanSourceSpec::Unoptimized,
 //!                         &PipelineConfig::default()).unwrap();
-//! let opt = run_pipeline(src, &[], PlanSource::Compiler,
+//! let opt = run_pipeline(src, &[], PlanSourceSpec::Compiler,
 //!                        &PipelineConfig::default()).unwrap();
 //! assert!(opt.sim.false_sharing() < base.sim.false_sharing());
 //! ```
@@ -26,6 +26,7 @@ pub mod driver;
 pub mod experiments;
 pub mod world;
 
+pub use driver::PlanSourceSpec;
 pub use world::{refine_facts_from, CacheStats, Evicted, LintSummary, Snapshot, World};
 
 pub use fsr_analysis::{Analysis, Pattern};
@@ -40,37 +41,11 @@ pub use fsr_sim::{
 };
 pub use fsr_transform::{LayoutPlan, ObjPlan, PlanConfig};
 
-use fsr_interp::{MemRef, RunStats, TraceEvent, TraceSink};
+use fsr_interp::{MemRef, RunStats, TraceSink};
 use fsr_machine::TimingModel;
 use fsr_sim::{MultiSim, Outcome, CHUNK_LANES};
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Where the layout plan comes from.
-#[derive(Clone)]
-pub enum PlanSource {
-    /// Original declaration-order packed layout ("N" versions).
-    Unoptimized,
-    /// The compiler's analysis + §3.3 heuristics ("C" versions).
-    Compiler,
-    /// A hand-written plan ("P" programmer versions), built from the
-    /// checked program.
-    Programmer(fn(&Program, u32) -> LayoutPlan),
-    /// An explicit plan (ablation studies).
-    Explicit(LayoutPlan),
-}
-
-impl fmt::Debug for PlanSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            PlanSource::Unoptimized => "Unoptimized",
-            PlanSource::Compiler => "Compiler",
-            PlanSource::Programmer(_) => "Programmer",
-            PlanSource::Explicit(_) => "Explicit",
-        };
-        write!(f, "{s}")
-    }
-}
 
 /// Everything configurable about one pipeline run.
 #[derive(Debug, Clone)]
@@ -394,30 +369,8 @@ impl TraceSink for PipelineSink {
     }
 }
 
-/// Build the layout plan for a checked program.
-pub fn plan_of(
-    prog: &Program,
-    source: &PlanSource,
-    cfg: &PipelineConfig,
-) -> Result<LayoutPlan, PipelineError> {
-    Ok(match source {
-        PlanSource::Unoptimized => LayoutPlan::unoptimized(cfg.block_bytes),
-        PlanSource::Compiler => {
-            let analysis = fsr_analysis::analyze(prog)?;
-            let mut plan_cfg = cfg.plan_cfg;
-            plan_cfg.block_bytes = cfg.block_bytes;
-            fsr_transform::plan_for(prog, &analysis, &plan_cfg)
-        }
-        PlanSource::Programmer(f) => f(prog, cfg.block_bytes),
-        PlanSource::Explicit(p) => {
-            let mut p = p.clone();
-            p.block_bytes = cfg.block_bytes;
-            p
-        }
-    })
-}
-
-/// Run the full pipeline on PSL source text.
+/// Run the full pipeline on PSL source text: a batch of one job on a
+/// transient [`World`] (see [`driver::run_batch`]).
 ///
 /// `params` override `param` declarations (e.g. `[("NPROC", 12)]`); the
 /// process count is taken from the program's `forall` bounds after
@@ -425,92 +378,42 @@ pub fn plan_of(
 pub fn run_pipeline(
     src: &str,
     params: &[(&str, i64)],
-    plan_source: PlanSource,
+    plan: PlanSourceSpec,
     cfg: &PipelineConfig,
 ) -> Result<RunResult, PipelineError> {
-    let prog = fsr_lang::compile_with_params(src, params)?;
-    run_pipeline_checked(&prog, plan_source, cfg)
+    let job = driver::Job::new((), src, params, plan, cfg.clone());
+    driver::run_batch(vec![job], 1).remove(0).1
 }
 
-/// Run the pipeline on an already-checked program.
-pub fn run_pipeline_checked(
-    prog: &Program,
-    plan_source: PlanSource,
-    cfg: &PipelineConfig,
-) -> Result<RunResult, PipelineError> {
-    let nproc = resolve_nproc(prog)?;
-    let plan = plan_of(prog, &plan_source, cfg)?;
-    let layout = fsr_layout::Layout::try_build(prog, &plan, nproc)?;
-    let code = fsr_interp::compile_program(prog)?;
-
-    let sim_cfg = fsr_sim::CacheConfig {
-        nproc,
-        block_bytes: cfg.block_bytes,
-        cache_bytes: cfg.cache_bytes,
-        assoc: cfg.assoc,
-        protocol: cfg.protocol,
-    };
-    let mut sink = PipelineSink::new(
-        MultiSim::new(sim_cfg, layout.total_words() * 4),
-        TimingModel::new(cfg.machine, nproc),
-    );
-    let fin = fsr_interp::run(prog, &layout, &code, cfg.run, &mut sink)?;
-
-    Ok(sink.into_result(nproc, plan, fin.stats, |addr| {
-        layout
-            .attribute(addr)
-            .map(|oid| prog.object(oid).name.clone())
-    }))
-}
-
-/// A reference trace recorded once through the front half of the
-/// pipeline (parse, plan, lay out, interpret). The trace depends on the
+/// A reference trace recorded once through the back half of a front
+/// end's pipeline (plan, lay out, interpret). The trace depends on the
 /// program, its parameters, and the layout plan — never on the
 /// coherence protocol or interconnect — so one recording serves every
 /// backend combination.
 pub struct RecordedTrace {
-    pub events: Vec<TraceEvent>,
+    pub trace: fsr_interp::RecordedTrace,
     pub nproc: u32,
     /// Bytes of simulated address space the layout occupies.
     pub addr_space_bytes: u32,
     pub interp: RunStats,
 }
 
-/// Run the front half of the pipeline once and capture the reference
-/// trace instead of simulating it (the trace-backed lint refinement's
-/// conflict witnesses, and the scalar reference replay of the
-/// equivalence tests).
+/// Interpret `fe` under the plan `plan` asks for and capture the
+/// reference trace instead of simulating it (the trace-backed lint
+/// refinement's conflict witnesses, and the scalar reference replay of
+/// the equivalence tests).
 pub fn record_trace(
-    prog: &Program,
-    plan_source: PlanSource,
+    fe: &world::FrontEnd,
+    plan: &PlanSourceSpec,
     cfg: &PipelineConfig,
 ) -> Result<RecordedTrace, PipelineError> {
-    struct Rec {
-        events: Vec<TraceEvent>,
-    }
-    impl TraceSink for Rec {
-        fn access(&mut self, r: MemRef) {
-            self.events.push(TraceEvent::Access(r));
-        }
-        fn sync(&mut self, pids: &[u32]) {
-            self.events.push(TraceEvent::Sync(pids.to_vec()));
-        }
-        fn handoff(&mut self, from: u32, to: u32) {
-            self.events.push(TraceEvent::Handoff { from, to });
-        }
-        fn steal(&mut self, thief: u32, victim: u32) {
-            self.events.push(TraceEvent::Steal { thief, victim });
-        }
-    }
-    let nproc = resolve_nproc(prog)?;
-    let plan = plan_of(prog, &plan_source, cfg)?;
-    let layout = fsr_layout::Layout::try_build(prog, &plan, nproc)?;
-    let code = fsr_interp::compile_program(prog)?;
-    let mut rec = Rec { events: Vec::new() };
-    let fin = fsr_interp::run(prog, &layout, &code, cfg.run, &mut rec)?;
+    let plan = fe.plan(plan, cfg)?;
+    let layout = fsr_layout::Layout::try_build(&fe.prog, &plan, fe.nproc)?;
+    let mut trace = fsr_interp::RecordedTrace::default();
+    let fin = fsr_interp::run(&fe.prog, &layout, &fe.code, cfg.run, &mut trace)?;
     Ok(RecordedTrace {
-        events: rec.events,
-        nproc,
+        trace,
+        nproc: fe.nproc,
         addr_space_bytes: layout.total_words() * 4,
         interp: fin.stats,
     })
@@ -527,8 +430,8 @@ mod tests {
     #[test]
     fn compiler_plan_removes_false_sharing() {
         let cfg = PipelineConfig::default();
-        let base = run_pipeline(COUNTERS, &[], PlanSource::Unoptimized, &cfg).unwrap();
-        let opt = run_pipeline(COUNTERS, &[], PlanSource::Compiler, &cfg).unwrap();
+        let base = run_pipeline(COUNTERS, &[], PlanSourceSpec::Unoptimized, &cfg).unwrap();
+        let opt = run_pipeline(COUNTERS, &[], PlanSourceSpec::Compiler, &cfg).unwrap();
         assert!(
             base.sim.false_sharing() > 100,
             "unoptimized adjacent counters must false-share: {}",
@@ -546,7 +449,7 @@ mod tests {
     #[test]
     fn per_object_attribution_names_the_culprit() {
         let cfg = PipelineConfig::default();
-        let base = run_pipeline(COUNTERS, &[], PlanSource::Unoptimized, &cfg).unwrap();
+        let base = run_pipeline(COUNTERS, &[], PlanSourceSpec::Unoptimized, &cfg).unwrap();
         let c = base.per_obj.get("c").expect("attributed");
         assert!(c.false_sharing() > 100);
     }
@@ -554,7 +457,7 @@ mod tests {
     #[test]
     fn nproc_override_applies() {
         let cfg = PipelineConfig::default();
-        let r = run_pipeline(COUNTERS, &[("NPROC", 2)], PlanSource::Unoptimized, &cfg).unwrap();
+        let r = run_pipeline(COUNTERS, &[("NPROC", 2)], PlanSourceSpec::Unoptimized, &cfg).unwrap();
         assert_eq!(r.nproc, 2);
     }
 
@@ -565,7 +468,7 @@ mod tests {
         let mut plan = LayoutPlan::unoptimized(128);
         plan.insert(c, ObjPlan::PadElems, "test");
         let cfg = PipelineConfig::default();
-        let r = run_pipeline(COUNTERS, &[], PlanSource::Explicit(plan), &cfg).unwrap();
+        let r = run_pipeline(COUNTERS, &[], PlanSourceSpec::Explicit(plan), &cfg).unwrap();
         assert_eq!(r.sim.false_sharing(), 0);
     }
 
@@ -574,7 +477,7 @@ mod tests {
         let mut last = 0;
         for block in [16u32, 64, 256] {
             let cfg = PipelineConfig::with_block(block);
-            let r = run_pipeline(COUNTERS, &[], PlanSource::Unoptimized, &cfg).unwrap();
+            let r = run_pipeline(COUNTERS, &[], PlanSourceSpec::Unoptimized, &cfg).unwrap();
             assert!(
                 r.sim.false_sharing() >= last,
                 "false sharing should not shrink with larger blocks"
@@ -587,7 +490,7 @@ mod tests {
     #[test]
     fn lang_errors_propagate() {
         let cfg = PipelineConfig::default();
-        let e = run_pipeline("fn main() {", &[], PlanSource::Unoptimized, &cfg).unwrap_err();
+        let e = run_pipeline("fn main() {", &[], PlanSourceSpec::Unoptimized, &cfg).unwrap_err();
         assert!(matches!(e, PipelineError::Lang(_)));
     }
 
@@ -597,12 +500,36 @@ mod tests {
         // the pipeline must refuse with a diagnostic instead of tripping
         // an assert (or silently running as a uniprocessor).
         let cfg = PipelineConfig::default();
-        let e =
-            run_pipeline(COUNTERS, &[("NPROC", 100)], PlanSource::Unoptimized, &cfg).unwrap_err();
+        let e = run_pipeline(
+            COUNTERS,
+            &[("NPROC", 100)],
+            PlanSourceSpec::Unoptimized,
+            &cfg,
+        )
+        .unwrap_err();
         assert!(matches!(
             e,
             PipelineError::Nproc(fsr_analysis::NprocError::OutOfRange(100))
         ));
+    }
+
+    #[test]
+    fn panicking_plans_come_back_as_worker_panics() {
+        // run_pipeline is a one-job batch: a panicking plan is caught at
+        // the plan/layout stage and returned, never unwound into the caller.
+        let plan = PlanSourceSpec::Programmer(|_, _| panic!("plan exploded deliberately"));
+        let e = run_pipeline(COUNTERS, &[], plan, &PipelineConfig::default()).unwrap_err();
+        let PipelineError::Driver(driver::DriverError::WorkerPanic {
+            stage,
+            job_index: 0,
+            payload,
+            ..
+        }) = &e
+        else {
+            panic!("expected WorkerPanic, got {e:?}")
+        };
+        assert_eq!(*stage, "plan/layout");
+        assert!(payload.contains("plan exploded deliberately"), "{payload}");
     }
 
     #[test]
@@ -611,7 +538,7 @@ mod tests {
         let e = run_pipeline(
             "shared int a[2]; fn main() { forall p in 0 .. 4 { a[p] = 1; } }",
             &[],
-            PlanSource::Unoptimized,
+            PlanSourceSpec::Unoptimized,
             &cfg,
         )
         .unwrap_err();

@@ -34,9 +34,9 @@
 //! results so a long-lived daemon (`fsr-serve`) performs zero new
 //! interpreter passes for repeated work.
 
-use crate::driver::{self, BatchStats, Job, JobResults};
-use crate::{PipelineError, RunResult};
-use fsr_interp::{RunConfig, RunStats, TraceEvent};
+use crate::driver::{self, BatchStats, Job, JobResults, PlanSourceSpec};
+use crate::{LayoutPlan, PipelineConfig, PipelineError, RunResult};
+use fsr_interp::{RecordedTrace, RunConfig, RunStats, TraceEvent};
 use fsr_lang::ast::{ElemTy, FieldId, ObjectKind};
 use fsr_lang::diag::Diagnostics;
 use fsr_layout::Layout;
@@ -63,7 +63,9 @@ pub struct FrontEnd {
 }
 
 impl FrontEnd {
-    fn compile(src: &str, params: &[(String, i64)]) -> Result<FrontEnd, PipelineError> {
+    /// Parse, check and compile `src` with `params` bound: the front half
+    /// of every pipeline run.
+    pub fn compile(src: &str, params: &[(String, i64)]) -> Result<FrontEnd, PipelineError> {
         let params: Vec<(&str, i64)> = params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         let prog = fsr_lang::compile_with_params(src, &params)?;
         let nproc = crate::resolve_nproc(&prog)?;
@@ -81,6 +83,31 @@ impl FrontEnd {
     /// cached too, failing only the requests that need it).
     pub fn analysis(&self) -> Result<Arc<crate::Analysis>, PipelineError> {
         self.analysis_counted(None)
+    }
+
+    /// The layout plan `spec` asks for at `cfg`'s block size — the one
+    /// plan builder. The compiler plan runs on the memoized
+    /// [`FrontEnd::analysis`].
+    pub fn plan(
+        &self,
+        spec: &PlanSourceSpec,
+        cfg: &PipelineConfig,
+    ) -> Result<LayoutPlan, PipelineError> {
+        Ok(match spec {
+            PlanSourceSpec::Unoptimized => LayoutPlan::unoptimized(cfg.block_bytes),
+            PlanSourceSpec::Compiler => {
+                let analysis = self.analysis()?;
+                let mut plan_cfg = cfg.plan_cfg;
+                plan_cfg.block_bytes = cfg.block_bytes;
+                fsr_transform::plan_for(&self.prog, &analysis, &plan_cfg)
+            }
+            PlanSourceSpec::Programmer(f) => f(&self.prog, cfg.block_bytes),
+            PlanSourceSpec::Explicit(p) => {
+                let mut p = p.clone();
+                p.block_bytes = cfg.block_bytes;
+                p
+            }
+        })
     }
 
     pub(crate) fn analysis_counted(
@@ -198,7 +225,7 @@ pub fn refine_facts_from(
 /// layout (kept so a fingerprint match is confirmed exactly with
 /// [`Layout::trace_eq`] before the recording is reused).
 pub(crate) struct CachedTrace {
-    pub events: Arc<Vec<TraceEvent>>,
+    pub trace: RecordedTrace,
     pub interp: RunStats,
     pub layout: Layout,
 }
@@ -333,29 +360,26 @@ impl Caches {
         self.lint_ctr.miss();
         let analysis = fe.analysis()?;
         let refine_facts = if refine {
-            let cfg = crate::PipelineConfig::default();
-            let plan = crate::LayoutPlan::unoptimized(cfg.block_bytes);
-            let layout = Layout::try_build(&fe.prog, &plan, fe.nproc)?;
+            let cfg = PipelineConfig::default();
+            let spec = PlanSourceSpec::Unoptimized;
+            let layout = Layout::try_build(&fe.prog, &fe.plan(&spec, &cfg)?, fe.nproc)?;
             let tkey: TraceKey = (fe_key, cfg.run, layout.trace_fingerprint());
-            let events = match self.trace_get(&tkey, &layout) {
-                Some(ct) => ct.events.clone(),
+            let ct = match self.trace_get(&tkey, &layout) {
+                Some(ct) => ct,
                 None => {
-                    let rec = crate::record_trace(&fe.prog, crate::PlanSource::Unoptimized, &cfg)?;
-                    let events = Arc::new(rec.events);
+                    let rec = crate::record_trace(&fe, &spec, &cfg)?;
+                    let ct = Arc::new(CachedTrace {
+                        trace: rec.trace,
+                        interp: rec.interp,
+                        layout: layout.clone(),
+                    });
                     if self.cache_traces {
-                        self.trace_put(
-                            tkey,
-                            CachedTrace {
-                                events: events.clone(),
-                                interp: rec.interp,
-                                layout: layout.clone(),
-                            },
-                        );
+                        self.trace_put(tkey, ct.clone());
                     }
-                    events
+                    ct
                 }
             };
-            Some(refine_facts_from(&fe.prog, &layout, &events))
+            Some(refine_facts_from(&fe.prog, &layout, &ct.trace.events))
         } else {
             None
         };
@@ -409,12 +433,8 @@ impl Caches {
         hit
     }
 
-    pub(crate) fn trace_put(&self, key: TraceKey, trace: CachedTrace) {
-        self.traces
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert_with(|| Arc::new(trace));
+    pub(crate) fn trace_put(&self, key: TraceKey, trace: Arc<CachedTrace>) {
+        self.traces.lock().unwrap().entry(key).or_insert(trace);
     }
 
     pub(crate) fn result_get(&self, key: &ResultKey) -> Option<Arc<RunResult>> {
@@ -489,7 +509,7 @@ impl Evicted {
 }
 
 /// Point-in-time cache occupancy and lifetime hit/miss counters — the
-/// honesty numbers `fsr-serve` reports and `serve_bench` records.
+/// honesty numbers `fsr-serve` reports in `stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub front_ends: usize,
@@ -652,15 +672,6 @@ impl Snapshot {
         self.caches.lint(src, params, true)
     }
 
-    /// [`crate::driver::run_batch`] on this world's caches.
-    pub fn run_batch<M: Sync + fmt::Debug>(
-        &self,
-        jobs: Vec<Job<M>>,
-        threads: usize,
-    ) -> JobResults<M> {
-        self.run_batch_with_stats(jobs, threads).0
-    }
-
     /// [`crate::driver::run_batch_with_stats`] on this world's caches:
     /// repeated identical jobs are served from the result cache (zero
     /// interpreter passes), units matching a recorded trace are replayed
@@ -671,7 +682,8 @@ impl Snapshot {
         jobs: Vec<Job<M>>,
         threads: usize,
     ) -> (JobResults<M>, BatchStats) {
-        driver::run_batch_in(&self.caches, jobs, threads, None)
+        let (results, stats) = driver::run_batch_in(&self.caches, &jobs, threads, None);
+        (jobs.into_iter().zip(results).collect(), stats)
     }
 
     /// Streaming variant: `notify` fires exactly once per job, from the
@@ -683,7 +695,8 @@ impl Snapshot {
         threads: usize,
         notify: driver::BatchNotify<'_>,
     ) -> (JobResults<M>, BatchStats) {
-        driver::run_batch_in(&self.caches, jobs, threads, Some(notify))
+        let (results, stats) = driver::run_batch_in(&self.caches, &jobs, threads, Some(notify));
+        (jobs.into_iter().zip(results).collect(), stats)
     }
 }
 

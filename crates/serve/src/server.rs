@@ -16,7 +16,7 @@ use crate::proto::{
     pipeline_error_json, response, run_result_json, Request,
 };
 use fsr_core::driver::Job;
-use fsr_core::{PipelineError, PlanSource, RunResult, Snapshot, World};
+use fsr_core::{PipelineError, PlanSourceSpec, RunResult, Snapshot, World};
 use std::io::{BufRead, Write};
 use std::sync::Mutex;
 
@@ -250,7 +250,8 @@ impl Server {
         let fe = snapshot
             .front_end(&src, &p)
             .map_err(|e| pipeline_error_json(&e, &src).to_string())?;
-        let plan = fsr_core::plan_of(&fe.prog, &PlanSource::Compiler, &cfg)
+        let plan = fe
+            .plan(&PlanSourceSpec::Compiler, &cfg)
             .map_err(|e| pipeline_error_json(&e, &src).to_string())?;
         Ok(proto::plan_json(&plan, &fe.prog))
     }

@@ -4,7 +4,7 @@
 //!
 //! Usage: cargo run --release -p fsr-core --example blocksweep -- [workload]
 
-use fsr_core::{run_pipeline, PipelineConfig, PlanSource};
+use fsr_core::{run_pipeline, PipelineConfig, PlanSourceSpec};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "topopt".into());
@@ -16,11 +16,11 @@ fn main() {
     );
     for block in [4u32, 8, 16, 32, 64, 128, 256] {
         let cfg = PipelineConfig::with_block(block);
-        let run = |src: PlanSource| {
+        let run = |src: PlanSourceSpec| {
             run_pipeline(w.source, &[("NPROC", 8), ("SCALE", 1)], src, &cfg).unwrap()
         };
-        let base = run(PlanSource::Unoptimized);
-        let opt = run(PlanSource::Compiler);
+        let base = run(PlanSourceSpec::Unoptimized);
+        let opt = run(PlanSourceSpec::Compiler);
         println!(
             "{:>6} {:>14.3} {:>14.3} {:>14.3} {:>14.3}",
             block,

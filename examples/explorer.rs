@@ -6,7 +6,7 @@
 //!   cargo run --release -p fsr-core --example explorer -- <workload> [nproc] [block]
 //!   cargo run --release -p fsr-core --example explorer -- pverify 12 128
 
-use fsr_core::{run_pipeline, PipelineConfig, PlanSource};
+use fsr_core::{run_pipeline, PipelineConfig, PlanSourceSpec};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -39,8 +39,8 @@ fn main() {
     println!("{}", fsr_transform::report::render(&prog, &plan));
 
     for (label, source) in [
-        ("unoptimized", PlanSource::Unoptimized),
-        ("compiler", PlanSource::Compiler),
+        ("unoptimized", PlanSourceSpec::Unoptimized),
+        ("compiler", PlanSourceSpec::Compiler),
     ] {
         let r = run_pipeline(w.source, &[("NPROC", nproc), ("SCALE", 1)], source, &cfg).unwrap();
         println!("== {label}: {}  exec={} cycles", r.sim, r.exec_cycles);

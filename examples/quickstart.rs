@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p fsr-core --example quickstart`
 
-use fsr_core::{run_pipeline, PipelineConfig, PlanSource};
+use fsr_core::{run_pipeline, PipelineConfig, PlanSourceSpec};
 
 const SRC: &str = r#"
 // Each process increments its own counter; the unoptimized layout packs
@@ -32,8 +32,8 @@ fn main() {
     println!("{}", fsr_transform::report::render(&prog, &plan));
 
     // 2. Measure both layouts.
-    let base = run_pipeline(SRC, &[], PlanSource::Unoptimized, &cfg).unwrap();
-    let opt = run_pipeline(SRC, &[], PlanSource::Compiler, &cfg).unwrap();
+    let base = run_pipeline(SRC, &[], PlanSourceSpec::Unoptimized, &cfg).unwrap();
+    let opt = run_pipeline(SRC, &[], PlanSourceSpec::Compiler, &cfg).unwrap();
 
     println!("unoptimized: {}", base.sim);
     println!("transformed: {}", opt.sim);

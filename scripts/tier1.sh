@@ -30,7 +30,8 @@ cargo test -q -p fsr-integration --test coherence_props --test directory
 # the pinned knobs (the report is thread-count invariant).
 abl_out="$(mktemp)"
 steal_out="$(mktemp)"
-trap 'rm -f "$abl_out" "$steal_out"' EXIT
+exp_out="$(mktemp)"
+trap 'rm -f "$abl_out" "$steal_out" "$exp_out"' EXIT
 FSR_NPROC=8 FSR_SCALE=1 FSR_BENCH_OUT="$abl_out" \
     cargo run -q --release --bin directory_ablation >/dev/null
 diff -u tests/golden/directory_ablation.json "$abl_out"
@@ -54,4 +55,23 @@ diff -u tests/golden/steal_sweep.json "$steal_out"
 # coverage of the serve crate rides on the --all/--workspace gates above.
 cargo run -q --release --bin fsr-serve < tests/golden/serve_smoke_session.jsonl \
     | diff -u tests/golden/serve_smoke.txt -
+# Reference check: Figure 3, Table 2 and the headline through run_jobs
+# (every job a batch of one on its own world, nothing shared) and
+# through one shared batch. The bin asserts every row bit-identical; the
+# interpretation counts pin how much work the batch shares.
+FSR_NPROC=4 FSR_SCALE=1 FSR_BENCH_OUT="$exp_out" \
+    cargo run -q --release --bin bench_experiments >/dev/null
+for want in '"unbatched_interpretations": 252,' '"batched_interpretations": 39,' \
+    '"bit_identical": true'; do
+    grep -qF "$want" "$exp_out" || {
+        echo "bench_experiments: expected $want in:" >&2
+        cat "$exp_out" >&2
+        exit 1
+    }
+done
+# The README's entry points to run_pipeline, run once each.
+cargo run -q --release --example quickstart >/dev/null
+cargo run -q --release --example explorer -- pverify 4 128 >/dev/null
+cargo run -q --release --example blocksweep >/dev/null
+cargo run -q --release --example speedup >/dev/null
 echo "tier1: OK"

@@ -10,8 +10,7 @@
 
 use fsr_core::driver::{run_batch, Job, PlanSourceSpec};
 use fsr_core::{
-    run_pipeline, InterconnectKind, MissKind, PipelineConfig, PipelineError, PlanSource,
-    ProtocolKind, Schedule,
+    run_pipeline, InterconnectKind, MissKind, PipelineConfig, PipelineError, ProtocolKind, Schedule,
 };
 use fsr_interp::{compile_program, MemRef, RecordedTrace, RunConfig, TraceEvent};
 use fsr_layout::{Layout, LayoutError, MAX_WORDS};
@@ -119,7 +118,7 @@ fn steal_counters_close_over_the_trace() {
     // and matches the timing model's join count exactly.
     let mut pcfg = PipelineConfig::with_block(64);
     pcfg.run.schedule = Schedule::WorkSteal { seed: 3 };
-    let r = run_pipeline(SKEWED, &[], PlanSource::Unoptimized, &pcfg).unwrap();
+    let r = run_pipeline(SKEWED, &[], PlanSourceSpec::Unoptimized, &pcfg).unwrap();
     assert!(r.interp.steals > 0);
     assert_eq!(r.interp.steals, r.timing.steal_joins, "one join per steal");
 
@@ -127,7 +126,7 @@ fn steal_counters_close_over_the_trace() {
     let r0 = run_pipeline(
         SKEWED,
         &[],
-        PlanSource::Unoptimized,
+        PlanSourceSpec::Unoptimized,
         &PipelineConfig::with_block(64),
     )
     .unwrap();
@@ -179,7 +178,7 @@ fn per_block_arrays_sum_to_the_global_counters() {
 #[test]
 fn pipeline_reports_close_over_the_simulator_counters() {
     let cfg = PipelineConfig::default();
-    let r = run_pipeline(COUNTERS, &[], PlanSource::Unoptimized, &cfg).unwrap();
+    let r = run_pipeline(COUNTERS, &[], PlanSourceSpec::Unoptimized, &cfg).unwrap();
 
     // Per-object miss attribution is total: every miss of every kind
     // lands on some named object (or the explicit unattributed bucket).
@@ -262,7 +261,7 @@ fn pipeline_and_batch_surface_layout_overflow_as_errors() {
     let err = run_pipeline(
         huge,
         &[],
-        PlanSource::Unoptimized,
+        PlanSourceSpec::Unoptimized,
         &PipelineConfig::default(),
     )
     .unwrap_err();

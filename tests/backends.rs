@@ -5,9 +5,7 @@
 
 use fsr_core::driver::{run_batch_with_stats, Job, PlanSourceSpec};
 use fsr_core::experiments::{speedup_sweep, Vsn};
-use fsr_core::{
-    run_pipeline, InterconnectKind, MissKind, PipelineConfig, PlanSource, ProtocolKind,
-};
+use fsr_core::{run_pipeline, InterconnectKind, MissKind, PipelineConfig, ProtocolKind};
 use fsr_sim::{CacheConfig, CoherenceEvent, MultiSim};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -63,7 +61,7 @@ fn counters_kernel_matches_pre_refactor_golden() {
     let cfg = PipelineConfig::default();
     assert_eq!(cfg.protocol, ProtocolKind::Msi);
     assert_eq!(cfg.machine.interconnect, InterconnectKind::Ksr2Ring);
-    let r = run_pipeline(COUNTERS, &[], PlanSource::Unoptimized, &cfg).unwrap();
+    let r = run_pipeline(COUNTERS, &[], PlanSourceSpec::Unoptimized, &cfg).unwrap();
     assert_eq!(r.sim.refs, 1600);
     assert_eq!(r.sim.reads, 800);
     assert_eq!(r.sim.writes, 800);
@@ -143,8 +141,8 @@ fn batch_shares_one_interpretation_across_backends() {
 fn bus_and_ring_account_the_same_misses_differently() {
     let msi_ring = PipelineConfig::default();
     let msi_bus = PipelineConfig::default().with_backends(ProtocolKind::Msi, InterconnectKind::Bus);
-    let a = run_pipeline(COUNTERS, &[], PlanSource::Unoptimized, &msi_ring).unwrap();
-    let b = run_pipeline(COUNTERS, &[], PlanSource::Unoptimized, &msi_bus).unwrap();
+    let a = run_pipeline(COUNTERS, &[], PlanSourceSpec::Unoptimized, &msi_ring).unwrap();
+    let b = run_pipeline(COUNTERS, &[], PlanSourceSpec::Unoptimized, &msi_bus).unwrap();
     assert_eq!(a.sim, b.sim, "interconnect must not affect the simulator");
     // The bus charges every fill (even memory-served cold misses) channel
     // occupancy, so its stall attribution must diverge from the ring's.

@@ -4,7 +4,7 @@
 use fsr_core::driver::{
     effective_threads, run_batch, run_batch_with_stats, DriverError, Job, PlanSourceSpec,
 };
-use fsr_core::{run_pipeline, PipelineConfig, PipelineError, PlanSource, RunResult};
+use fsr_core::{run_pipeline, PipelineConfig, PipelineError, RunResult};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -16,15 +16,6 @@ fn gate() -> MutexGuard<'static, ()> {
 }
 
 const BLOCKS: [u32; 6] = [8, 16, 32, 64, 128, 256];
-
-fn spec_of(plan: &PlanSource) -> PlanSourceSpec {
-    match plan {
-        PlanSource::Unoptimized => PlanSourceSpec::Unoptimized,
-        PlanSource::Compiler => PlanSourceSpec::Compiler,
-        PlanSource::Programmer(f) => PlanSourceSpec::Programmer(*f),
-        PlanSource::Explicit(p) => PlanSourceSpec::Explicit(p.clone()),
-    }
-}
 
 fn assert_same(want: &RunResult, got: &RunResult, ctx: &str) {
     assert_eq!(want.nproc, got.nproc, "{ctx}: nproc");
@@ -66,14 +57,14 @@ proptest! {
         let mut jobs: Vec<Job<String>> = Vec::new();
         let mut reference: Vec<RunResult> = Vec::new();
         for &b in &[BLOCKS[bi % 6], BLOCKS[bj % 6]] {
-            for plan in [PlanSource::Unoptimized, PlanSource::Compiler] {
+            for plan in [PlanSourceSpec::Unoptimized, PlanSourceSpec::Compiler] {
                 let cfg = PipelineConfig::with_block(b);
                 reference.push(run_pipeline(w.source, &params, plan.clone(), &cfg).unwrap());
                 jobs.push(Job::new(
                     format!("{}/{b}/{plan:?}", w.name),
                     src.clone(),
                     &params,
-                    spec_of(&plan),
+                    plan,
                     cfg,
                 ));
             }
@@ -153,7 +144,7 @@ fn block_dependent_plans_translate_into_one_pass() {
         let want = run_pipeline(
             COUNTERS,
             &[],
-            PlanSource::Compiler,
+            PlanSourceSpec::Compiler,
             &PipelineConfig::with_block(job.meta),
         )
         .unwrap();
@@ -196,7 +187,7 @@ fn indirection_groups_keep_their_own_pass() {
         let want = run_pipeline(
             src,
             &[],
-            PlanSource::Compiler,
+            PlanSourceSpec::Compiler,
             &PipelineConfig::with_block(job.meta),
         )
         .unwrap();

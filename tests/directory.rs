@@ -11,7 +11,7 @@
 
 use fsr_core::driver::{run_batch, Job};
 use fsr_core::experiments::{directory_ablation, plan_spec, Backend, Vsn};
-use fsr_core::{run_pipeline, InterconnectKind, MissKind, PlanSource, ProtocolKind};
+use fsr_core::{run_pipeline, InterconnectKind, MissKind, PlanSourceSpec, ProtocolKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -115,7 +115,7 @@ fn counters_kernel_directory_golden() {
     let cfg = Backend::ABLATION[2].config(128);
     assert_eq!(cfg.protocol, ProtocolKind::Directory);
     assert_eq!(cfg.machine.interconnect, InterconnectKind::HomeDir);
-    let r = run_pipeline(COUNTERS, &[], PlanSource::Unoptimized, &cfg).unwrap();
+    let r = run_pipeline(COUNTERS, &[], PlanSourceSpec::Unoptimized, &cfg).unwrap();
 
     // Identical to the MSI/ring golden: trace-derived counters.
     assert_eq!(r.sim.refs, 1600);
@@ -133,7 +133,8 @@ fn counters_kernel_directory_golden() {
 
 #[test]
 fn ablation_rows_are_complete_and_internally_consistent() {
-    let rows = directory_ablation(&["maxflow", "mp3d"], NPROC, SCALE, BLOCK, 0);
+    let set = ["maxflow", "mp3d"].map(|n| fsr_workloads::by_name(n).unwrap());
+    let rows = directory_ablation(&set, NPROC, SCALE, BLOCK, 0);
     // 2 workloads × 2 versions × 3 backends.
     assert_eq!(rows.len(), 12);
 

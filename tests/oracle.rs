@@ -10,9 +10,10 @@
 //! plan, batch width and cache geometry, and on random raw traces.
 
 use fsr_core::driver::{run_batch, Job, PlanSourceSpec};
+use fsr_core::world::FrontEnd;
 use fsr_core::{
-    record_trace, InterconnectKind, PipelineConfig, PlanSource, ProtocolKind, RecordedTrace,
-    SimStats, TimingStats,
+    record_trace, InterconnectKind, PipelineConfig, ProtocolKind, RecordedTrace, SimStats,
+    TimingStats,
 };
 use fsr_interp::TraceEvent;
 use fsr_machine::TimingModel;
@@ -55,7 +56,7 @@ fn scalar_replay(trace: &RecordedTrace, cfg: &PipelineConfig) -> Observed {
         trace.addr_space_bytes,
     );
     let mut timing = TimingModel::new(cfg.machine, trace.nproc);
-    for e in &trace.events {
+    for e in &trace.trace.events {
         match e {
             TraceEvent::Access(r) => {
                 let outcome = sim.access(r.pid, r.addr, r.write);
@@ -79,25 +80,21 @@ fn scalar_replay(trace: &RecordedTrace, cfg: &PipelineConfig) -> Observed {
 #[test]
 fn chunked_batches_match_the_scalar_reference_on_every_workload() {
     let params = [("NPROC", NPROC), ("SCALE", 1)];
-    let plans = [
-        (PlanSource::Unoptimized, PlanSourceSpec::Unoptimized),
-        (PlanSource::Compiler, PlanSourceSpec::Compiler),
-    ];
+    let owned: Vec<(String, i64)> = params.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+    let plans = [PlanSourceSpec::Unoptimized, PlanSourceSpec::Compiler];
     for w in fsr_workloads::all() {
-        let prog = fsr_lang::compile_with_params(w.source, &params).unwrap();
+        let fe = FrontEnd::compile(w.source, &owned).unwrap();
         let src: Arc<str> = Arc::from(w.source);
         // The trace depends on the plan, never on the backend or the
         // cache geometry: one recording per plan serves every cell.
         let traces: Vec<RecordedTrace> = plans
             .iter()
-            .map(|(plan, _)| {
-                record_trace(&prog, plan.clone(), &PipelineConfig::with_block(BLOCK)).unwrap()
-            })
+            .map(|plan| record_trace(&fe, plan, &PipelineConfig::with_block(BLOCK)).unwrap())
             .collect();
         for (protocol, ic) in backend_pairs() {
             let mut jobs: Vec<Job<String>> = Vec::new();
             let mut want: Vec<Observed> = Vec::new();
-            for ((_, spec), trace) in plans.iter().zip(&traces) {
+            for (spec, trace) in plans.iter().zip(&traces) {
                 for (cache_bytes, assoc) in GEOMETRIES {
                     let mut cfg = PipelineConfig::with_block(BLOCK).with_backends(protocol, ic);
                     cfg.cache_bytes = cache_bytes;

@@ -1,15 +1,15 @@
 //! End-to-end pipeline assertions over the workload suite: the paper's
 //! headline effects, expressed as tests.
 
-use fsr_core::{MissKind, PipelineConfig, PlanSource};
+use fsr_core::{MissKind, PipelineConfig, PlanSourceSpec};
 use fsr_integration::run_version;
 use fsr_workloads::Version;
 
 #[test]
 fn compiler_reduces_false_sharing_on_every_unoptimized_program() {
     for w in fsr_workloads::figure3_set() {
-        let base = run_version(&w, PlanSource::Unoptimized, 8, 128);
-        let opt = run_version(&w, PlanSource::Compiler, 8, 128);
+        let base = run_version(&w, PlanSourceSpec::Unoptimized, 8, 128);
+        let opt = run_version(&w, PlanSourceSpec::Compiler, 8, 128);
         assert!(
             opt.sim.false_sharing() < base.sim.false_sharing(),
             "{}: FS not reduced ({} -> {})",
@@ -32,8 +32,8 @@ fn compiler_reduces_false_sharing_on_every_unoptimized_program() {
 #[test]
 fn compiler_improves_execution_time_at_moderate_scale() {
     for w in fsr_workloads::figure3_set() {
-        let base = run_version(&w, PlanSource::Unoptimized, 12, 128);
-        let opt = run_version(&w, PlanSource::Compiler, 12, 128);
+        let base = run_version(&w, PlanSourceSpec::Unoptimized, 12, 128);
+        let opt = run_version(&w, PlanSourceSpec::Compiler, 12, 128);
         assert!(
             opt.exec_cycles < base.exec_cycles,
             "{}: compiler version slower at 12 procs ({} vs {})",
@@ -51,10 +51,10 @@ fn compiler_beats_or_matches_programmer_everywhere() {
         if !w.has(Version::Programmer) {
             continue;
         }
-        let c = run_version(&w, PlanSource::Compiler, 12, 128);
+        let c = run_version(&w, PlanSourceSpec::Compiler, 12, 128);
         let p = run_version(
             &w,
-            PlanSource::Programmer(w.programmer_plan.unwrap()),
+            PlanSourceSpec::Programmer(w.programmer_plan.unwrap()),
             12,
             128,
         );
@@ -73,8 +73,8 @@ fn compiler_beats_or_matches_programmer_everywhere() {
 #[test]
 fn false_sharing_grows_with_block_size() {
     for w in fsr_workloads::figure3_set() {
-        let small = run_version(&w, PlanSource::Unoptimized, 8, 16);
-        let large = run_version(&w, PlanSource::Unoptimized, 8, 256);
+        let small = run_version(&w, PlanSourceSpec::Unoptimized, 8, 16);
+        let large = run_version(&w, PlanSourceSpec::Unoptimized, 8, 256);
         assert!(
             large.sim.false_sharing() >= small.sim.false_sharing(),
             "{}: FS shrank with larger blocks ({} -> {})",
@@ -89,7 +89,7 @@ fn false_sharing_grows_with_block_size() {
 fn four_byte_blocks_have_no_false_sharing() {
     // With one word per block, false sharing is impossible by definition.
     for w in fsr_workloads::figure3_set() {
-        let r = run_version(&w, PlanSource::Unoptimized, 4, 4);
+        let r = run_version(&w, PlanSourceSpec::Unoptimized, 4, 4);
         assert_eq!(r.sim.false_sharing(), 0, "{}", w.name);
         assert_eq!(r.sim.miss_of(MissKind::FalseSharing), 0);
     }
@@ -99,7 +99,7 @@ fn four_byte_blocks_have_no_false_sharing() {
 fn per_object_misses_sum_to_totals() {
     for w in ["maxflow", "pverify", "water"] {
         let w = fsr_workloads::by_name(w).unwrap();
-        let r = run_version(&w, PlanSource::Unoptimized, 6, 128);
+        let r = run_version(&w, PlanSourceSpec::Unoptimized, 6, 128);
         let attributed: u64 = r.per_obj.values().map(|m| m.total()).sum();
         assert_eq!(
             attributed,
@@ -115,7 +115,7 @@ fn per_object_misses_sum_to_totals() {
 #[test]
 fn uniprocessor_runs_have_no_coherence_misses() {
     for w in fsr_workloads::all() {
-        let r = run_version(&w, PlanSource::Unoptimized, 1, 128);
+        let r = run_version(&w, PlanSourceSpec::Unoptimized, 1, 128);
         assert_eq!(r.sim.false_sharing(), 0, "{}", w.name);
         assert_eq!(r.sim.miss_of(MissKind::TrueSharing), 0, "{}", w.name);
         assert_eq!(r.sim.invalidations, 0, "{}", w.name);
@@ -125,7 +125,7 @@ fn uniprocessor_runs_have_no_coherence_misses() {
 #[test]
 fn execution_time_exceeds_busy_time_only_by_stalls() {
     let w = fsr_workloads::by_name("fmm").unwrap();
-    let r = run_version(&w, PlanSource::Unoptimized, 8, 128);
+    let r = run_version(&w, PlanSourceSpec::Unoptimized, 8, 128);
     for p in 0..r.nproc as usize {
         let accounted = r.timing.busy[p] + r.timing.stall[p];
         assert!(
@@ -141,8 +141,8 @@ fn execution_time_exceeds_busy_time_only_by_stalls() {
 #[test]
 fn fs_stall_fraction_is_meaningful() {
     let w = fsr_workloads::by_name("topopt").unwrap();
-    let base = run_version(&w, PlanSource::Unoptimized, 12, 128);
-    let opt = run_version(&w, PlanSource::Compiler, 12, 128);
+    let base = run_version(&w, PlanSourceSpec::Unoptimized, 12, 128);
+    let opt = run_version(&w, PlanSourceSpec::Compiler, 12, 128);
     assert!(base.fs_stall_frac > 0.05, "unopt: {}", base.fs_stall_frac);
     assert!(
         opt.fs_stall_frac < base.fs_stall_frac,
@@ -155,8 +155,8 @@ fn indirection_adds_reference_overhead() {
     // The paper: indirection costs an additional memory access per
     // reference to the moved data.
     let w = fsr_workloads::by_name("pverify").unwrap();
-    let base = run_version(&w, PlanSource::Unoptimized, 6, 128);
-    let opt = run_version(&w, PlanSource::Compiler, 6, 128);
+    let base = run_version(&w, PlanSourceSpec::Unoptimized, 6, 128);
+    let opt = run_version(&w, PlanSourceSpec::Compiler, 6, 128);
     assert!(
         opt.sim.refs > base.sim.refs,
         "indirection should add pointer reads ({} vs {})",
@@ -190,7 +190,7 @@ fn transformed_source_renders_for_all_workloads() {
 fn pipeline_runs_at_fifty_six_processors() {
     // The full KSR2 configuration must work for every program.
     for w in fsr_workloads::all() {
-        let r = run_version(&w, PlanSource::Compiler, 56, 128);
+        let r = run_version(&w, PlanSourceSpec::Compiler, 56, 128);
         assert_eq!(r.nproc, 56, "{}", w.name);
         assert!(r.exec_cycles > 0);
     }
@@ -222,7 +222,7 @@ fn analysis_compile_cost_is_small() {
 #[test]
 fn driver_matches_sequential_results() {
     let w = fsr_workloads::by_name("water").unwrap();
-    let seq = run_version(&w, PlanSource::Compiler, 4, 128);
+    let seq = run_version(&w, PlanSourceSpec::Compiler, 4, 128);
     let jobs = vec![fsr_core::driver::Job {
         meta: (),
         src: std::sync::Arc::from(w.source),

@@ -45,7 +45,7 @@ fn reference_cells() -> BTreeMap<String, String> {
                 plan: PlanSourceSpec::Unoptimized,
                 cfg: PipelineConfig::with_block(BLOCK).with_backends(protocol, ic),
             };
-            let mut out = snapshot.run_batch(vec![job], 1);
+            let (mut out, _) = snapshot.run_batch_with_stats(vec![job], 1);
             let r = out.remove(0).1.expect("reference cell runs clean");
             let fe = snapshot.front_end(&src, &params).expect("compiles");
             expected.insert(
@@ -197,5 +197,47 @@ fn concurrent_clients_get_bit_identical_results() {
     assert_eq!(stat("result_hits"), 1);
 
     let (_, _) = setup.rpc(r#"{"id": 9, "method": "shutdown"}"#);
+    daemon.join().expect("daemon exits");
+}
+
+/// `plan` and a compiler-plan `simulate` build their plan through the
+/// same builder, so for the same params and config the `plan` answer is
+/// exactly the plan the simulation ran.
+#[test]
+fn plan_answers_the_plan_a_compiler_simulate_runs() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let daemon = std::thread::spawn(move || {
+        serve_tcp_on(Arc::new(Server::new()), listener).expect("daemon runs");
+    });
+    let mut client = Client::connect(addr);
+    client.open_all();
+    for name in ["maxflow", "raytrace"] {
+        for block in [16, 128] {
+            let args = format!(
+                r#""name": "{name}", "params": {{"NPROC": {NPROC}, "SCALE": {SCALE}}}, "config": {{"block": {block}}}"#
+            );
+            let (_, plan) = client.rpc(&format!(
+                r#"{{"id": 1, "method": "plan", "params": {{{args}}}}}"#
+            ));
+            let (_, sim) = client.rpc(&format!(
+                r#"{{"id": 2, "method": "simulate", "params": {{{args}, "plan": "compiler"}}}}"#
+            ));
+            let got = plan.get("result").expect("plan result");
+            let want = sim
+                .get("result")
+                .and_then(|r| r.get("result"))
+                .and_then(|r| r.get("plan"))
+                .expect("simulate result carries its plan");
+            assert_eq!(got, want, "{name} @ {block}B");
+            assert_eq!(got.get("block").and_then(Value::as_i64), Some(block));
+            let transformed = got.get("transformed").and_then(Value::as_arr);
+            assert!(
+                !transformed.unwrap_or(&[]).is_empty(),
+                "{name} @ {block}B: untransformed"
+            );
+        }
+    }
+    client.rpc(r#"{"id": 9, "method": "shutdown"}"#);
     daemon.join().expect("daemon exits");
 }
