@@ -1,13 +1,14 @@
 //! Static race & synchronization lint over the PSL workloads.
 //!
-//! Modes:
+//! Every lint verdict is `fsr-core`'s cached race-lint summary
+//! (`Snapshot::lint`, the one `fsr-serve` answers `lint` with). Modes:
 //! - (default) human-readable report over the ten workloads;
 //! - `--json` stable machine report (diffed against the checked-in
 //!   golden by `scripts/tier1.sh`);
 //! - `--refine` same report with dynamic refinement: a recorded
 //!   reference trace supplies conflict witnesses that upgrade
-//!   statically-unprovable suppressed pairs (`fsr-core`'s
-//!   `Snapshot::lint_refined` — the analysis-as-a-service loop);
+//!   statically-unprovable suppressed pairs (`Snapshot::lint_refined` —
+//!   the analysis-as-a-service loop);
 //! - `--advise` static false-sharing advisor (`FSR-W004`) validated
 //!   against the simulator's per-object miss taxonomy under the
 //!   unoptimized layout (exit 1 when an object with false-sharing
@@ -26,11 +27,14 @@
 //! byte-stable.
 
 use fsr_bench::json_str;
+use fsr_core::world::FrontEnd;
+use fsr_core::{LintSummary, Snapshot, World};
 use fsr_interp::HbChecker;
 use fsr_lang::ast::{ObjectKind, Program};
 use fsr_workloads as workloads;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 const NPROC: i64 = 4;
 const SCALE: i64 = 1;
@@ -45,31 +49,39 @@ fn compile(name: &str, source: &str) -> Program {
         .unwrap_or_else(|e| panic!("{name}: {}", e.render(source)))
 }
 
-/// Static lint for one program: the race report plus the racy object
-/// names (W001/W002 carriers; W003 is span-only).
-fn lint(name: &str, prog: &Program) -> (fsr_analysis::RaceReport, BTreeSet<String>) {
-    let analysis = fsr_analysis::analyze(prog).unwrap_or_else(|e| panic!("{name}: analysis: {e}"));
-    let report = fsr_analysis::detect(prog, &analysis);
-    let racy = report
-        .racy_objects()
-        .iter()
-        .map(|&o| prog.object(o).name.clone())
-        .collect();
-    (report, racy)
+fn params() -> Vec<(String, i64)> {
+    vec![("NPROC".into(), NPROC), ("SCALE".into(), SCALE)]
+}
+
+/// The World's race-lint summary for one program (`refine`: with
+/// trace-backed refinement).
+fn lint(snap: &Snapshot, name: &str, source: &str, refine: bool) -> Arc<LintSummary> {
+    let src: Arc<str> = Arc::from(source);
+    let summary = if refine {
+        snap.lint_refined(&src, &params())
+    } else {
+        snap.lint(&src, &params())
+    };
+    summary.unwrap_or_else(|e| panic!("{name}: lint: {e}")).0
+}
+
+/// The racy object names of a summary (W001/W002 carriers; W003 is
+/// span-only).
+fn racy_of(summary: &LintSummary) -> BTreeSet<String> {
+    summary.racy.iter().cloned().collect()
 }
 
 /// Dynamic ground truth for one program: shared-data objects with at
 /// least one happens-before race in the interpreter trace. Lock words
 /// and private data are filtered out via layout attribution.
-fn replay(name: &str, prog: &Program) -> BTreeSet<String> {
+fn replay(name: &str, fe: &FrontEnd) -> BTreeSet<String> {
     let plan = fsr_transform::LayoutPlan::unoptimized(64);
-    let layout = fsr_layout::Layout::build(prog, &plan, NPROC as u32);
-    let code = fsr_interp::compile_program(prog).unwrap();
+    let layout = fsr_layout::Layout::build(&fe.prog, &plan, NPROC as u32);
     let mut checker = HbChecker::new(NPROC as usize);
     fsr_interp::run(
-        prog,
+        &fe.prog,
         &layout,
-        &code,
+        &fe.code,
         fsr_interp::RunConfig::default(),
         &mut checker,
     )
@@ -77,32 +89,30 @@ fn replay(name: &str, prog: &Program) -> BTreeSet<String> {
     let mut racy = BTreeSet::new();
     for &word in checker.racy_words() {
         if let Some(oid) = layout.attribute(word) {
-            if prog.object(oid).kind == ObjectKind::SharedData {
-                racy.insert(prog.object(oid).name.clone());
+            if fe.prog.object(oid).kind == ObjectKind::SharedData {
+                racy.insert(fe.prog.object(oid).name.clone());
             }
         }
     }
     racy
 }
 
-/// `(object label, reason)` pairs for the suppressed groups, sorted.
-fn suppressed_of(prog: &Program, report: &fsr_analysis::RaceReport) -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = report
-        .suppressed
-        .iter()
-        .map(|g| {
-            (
-                fsr_analysis::access_label(prog, g.obj, g.field),
-                g.reason.to_string(),
-            )
-        })
-        .collect();
-    out.sort();
-    out
+/// One program's lint summary and its dynamic ground truth
+/// ([`replay`]), from one cached front end.
+fn judge(snap: &Snapshot, name: &str, source: &str) -> (Arc<LintSummary>, BTreeSet<String>) {
+    let summary = lint(snap, name, source, false);
+    let fe = snap
+        .front_end(&Arc::from(source), &params())
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    (summary, replay(name, &fe))
 }
 
+/// `(object label, reason)` pairs as a JSON list, sorted by label (the
+/// summary keeps them in (object, field) id order).
 fn suppressed_json(suppressed: &[(String, String)]) -> String {
-    let inner: Vec<String> = suppressed
+    let mut sorted = suppressed.to_vec();
+    sorted.sort();
+    let inner: Vec<String> = sorted
         .iter()
         .map(|(o, r)| {
             format!(
@@ -115,8 +125,8 @@ fn suppressed_json(suppressed: &[(String, String)]) -> String {
     format!("[{}]", inner.join(", "))
 }
 
-fn static_codes(report: &fsr_analysis::RaceReport) -> Vec<&'static str> {
-    let mut got: Vec<&'static str> = report
+fn static_codes(summary: &LintSummary) -> Vec<&'static str> {
+    let mut got: Vec<&'static str> = summary
         .diagnostics
         .iter()
         .filter_map(|d| d.code.map(|c| c.id()))
@@ -127,22 +137,22 @@ fn static_codes(report: &fsr_analysis::RaceReport) -> Vec<&'static str> {
 }
 
 fn human() {
+    let snap = World::new().snapshot();
     for w in workloads::all() {
-        let prog = compile(w.name, w.source);
-        let (report, _) = lint(w.name, &prog);
-        if report.is_clean() {
+        let summary = lint(&snap, w.name, w.source, false);
+        if summary.diagnostics.is_clean() {
             println!(
                 "{:<12} clean ({} unprovable pair group(s) suppressed)",
-                w.name, report.suppressed_pairs
+                w.name, summary.suppressed_pairs
             );
         } else {
             println!(
                 "{:<12} {} warning(s), {} unprovable pair group(s) suppressed",
                 w.name,
-                report.diagnostics.len(),
-                report.suppressed_pairs
+                summary.diagnostics.len(),
+                summary.suppressed_pairs
             );
-            for line in report.diagnostics.render_all(w.source).lines() {
+            for line in summary.diagnostics.render_all(w.source).lines() {
                 println!("    {line}");
             }
         }
@@ -165,55 +175,37 @@ fn diagnostics_json(out: &mut String, source: &str, diagnostics: &fsr_lang::diag
     }
 }
 
-fn json() {
+/// `--json` (and, with `refined`, `--refine`): the machine report over
+/// the ten workloads, suppressed groups sorted by label. `--refine`
+/// recomputes every summary with trace-backed refinement and lists each
+/// workload's racy objects: suppressed pairs whose conflict is
+/// witnessed in the recorded reference trace are upgraded to reported
+/// races (locusroute's partition array `grid` is the motivating case:
+/// its index ranges come from run-time partition values the static
+/// domain cannot bound).
+fn report_json(refined: bool) {
+    let snap = World::new().snapshot();
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\n  \"nproc\": {NPROC},\n  \"scale\": {SCALE},\n  \"workloads\": [\n"
+        "{{\n  \"nproc\": {NPROC},\n  \"scale\": {SCALE},\n{}  \"workloads\": [\n",
+        if refined {
+            "  \"refined\": true,\n"
+        } else {
+            ""
+        }
     ));
     let ws = workloads::all();
     for (i, w) in ws.iter().enumerate() {
-        let prog = compile(w.name, w.source);
-        let (report, _) = lint(w.name, &prog);
+        let summary = lint(&snap, w.name, w.source, refined);
+        let racy = if refined {
+            format!("\"racy\": {}, ", json_list(&racy_of(&summary)))
+        } else {
+            String::new()
+        };
         let _ = write!(
             out,
-            "    {{\"name\": {}, \"suppressed_pairs\": {}, \"suppressed\": {}, \"diagnostics\": [",
+            "    {{\"name\": {}, {racy}\"suppressed_pairs\": {}, \"suppressed\": {}, \"diagnostics\": [",
             json_str(w.name),
-            report.suppressed_pairs,
-            suppressed_json(&suppressed_of(&prog, &report))
-        );
-        diagnostics_json(&mut out, w.source, &report.diagnostics);
-        out.push_str(if i + 1 == ws.len() { "]}\n" } else { "]},\n" });
-    }
-    out.push_str("  ]\n}");
-    println!("{out}");
-}
-
-/// `--refine`: the `--json` report recomputed through `fsr-core`'s
-/// world snapshot with trace-backed refinement. Suppressed pairs whose
-/// conflict is witnessed in the recorded reference trace are upgraded
-/// to reported races (locusroute's partition array `grid` is the
-/// motivating case: its index ranges come from run-time partition
-/// values the static domain cannot bound).
-fn refine() -> i32 {
-    let world = fsr_core::World::new();
-    let snap = world.snapshot();
-    let params: Vec<(String, i64)> = vec![("NPROC".into(), NPROC), ("SCALE".into(), SCALE)];
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n  \"nproc\": {NPROC},\n  \"scale\": {SCALE},\n  \"refined\": true,\n  \"workloads\": [\n"
-    ));
-    let ws = workloads::all();
-    for (i, w) in ws.iter().enumerate() {
-        let src: std::sync::Arc<str> = std::sync::Arc::from(w.source);
-        let (summary, _warm) = snap
-            .lint_refined(&src, &params)
-            .unwrap_or_else(|e| panic!("{}: refine: {e:?}", w.name));
-        let racy: BTreeSet<String> = summary.racy.iter().cloned().collect();
-        let _ = write!(
-            out,
-            "    {{\"name\": {}, \"racy\": {}, \"suppressed_pairs\": {}, \"suppressed\": {}, \"diagnostics\": [",
-            json_str(w.name),
-            json_list(&racy),
             summary.suppressed_pairs,
             suppressed_json(&summary.suppressed)
         );
@@ -222,7 +214,6 @@ fn refine() -> i32 {
     }
     out.push_str("  ]\n}");
     println!("{out}");
-    0
 }
 
 /// `--advise`: run the static false-sharing advisor, then validate it
@@ -344,11 +335,10 @@ fn advise() -> i32 {
 }
 
 fn mutants() -> i32 {
+    let snap = World::new().snapshot();
     let mut failed = 0;
     for m in workloads::mutants::all() {
-        let prog = compile(m.name, m.source);
-        let (report, _) = lint(m.name, &prog);
-        let got = static_codes(&report);
+        let got = static_codes(&lint(&snap, m.name, m.source, false));
         if got == m.expected {
             println!("PASS {:<28} {:?}", m.name, got);
         } else {
@@ -368,6 +358,7 @@ fn mutants() -> i32 {
 }
 
 fn validate() -> i32 {
+    let snap = World::new().snapshot();
     let mut out = String::new();
     let mut fail = false;
     let (mut tp, mut fp, mut fne) = (0usize, 0usize, 0usize);
@@ -376,9 +367,8 @@ fn validate() -> i32 {
     ));
     let ws = workloads::all();
     for (i, w) in ws.iter().enumerate() {
-        let prog = compile(w.name, w.source);
-        let (_, stat) = lint(w.name, &prog);
-        let dynr = replay(w.name, &prog);
+        let (summary, dynr) = judge(&snap, w.name, w.source);
+        let stat = racy_of(&summary);
         let wtp = stat.intersection(&dynr).count();
         let wfp = stat.difference(&dynr).count();
         let wfn = dynr.difference(&stat).count();
@@ -405,10 +395,9 @@ fn validate() -> i32 {
     out.push_str("  ],\n  \"mutants\": [\n");
     let ms = workloads::mutants::all();
     for (i, m) in ms.iter().enumerate() {
-        let prog = compile(m.name, m.source);
-        let (report, stat) = lint(m.name, &prog);
-        let dynr = replay(m.name, &prog);
-        let got = static_codes(&report);
+        let (summary, dynr) = judge(&snap, m.name, m.source);
+        let stat = racy_of(&summary);
+        let got = static_codes(&summary);
         let codes_ok = got == m.expected;
         let confirmed = if m.seeded {
             // Every planted racy object must be flagged statically AND
@@ -485,10 +474,13 @@ fn main() {
             0
         }
         Some("--json") => {
-            json();
+            report_json(false);
             0
         }
-        Some("--refine") => refine(),
+        Some("--refine") => {
+            report_json(true);
+            0
+        }
         Some("--advise") => advise(),
         Some("--mutants") => mutants(),
         Some("--validate") => validate(),

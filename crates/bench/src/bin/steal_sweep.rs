@@ -8,19 +8,20 @@
 //! cache lane, so blocks that were single-writer under round-robin can
 //! become write-shared under stealing — this sweep measures how much.
 //!
-//! One in-bin guarantee is asserted on every cell: accounting closure,
-//! the interpreter's steal count equals the timing model's applied
-//! steal joins.
+//! All cells run as one batch, so the three backends of each
+//! (workload, schedule) share one interpretation. One in-bin guarantee
+//! is asserted on every cell: accounting closure, the interpreter's
+//! steal count equals the timing model's applied steal joins.
 //!
 //! Writes `BENCH_steal.json` (override with `FSR_BENCH_OUT`). With
 //! `--golden`, writes only machine-independent fields (this bin has no
 //! wall-clock in its rows, so golden mode just drops the timing
 //! footer) for the tier-1 diff against `tests/golden/steal_sweep.json`.
-//! Knobs: `FSR_NPROC`, `FSR_SCALE` as usual.
+//! Knobs: `FSR_NPROC`, `FSR_SCALE`, `FSR_THREADS` as usual.
 
 use fsr_bench::{Knobs, Table};
 use fsr_core::driver::{run_batch, Job, PlanSourceSpec};
-use fsr_core::{InterconnectKind, PipelineConfig, ProtocolKind, RunResult, Schedule};
+use fsr_core::{InterconnectKind, PipelineConfig, ProtocolKind, Schedule};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -34,28 +35,21 @@ const BACKENDS: [(ProtocolKind, InterconnectKind); 3] = [
     (ProtocolKind::Directory, InterconnectKind::HomeDir),
 ];
 
-fn cell_cfg(backend: (ProtocolKind, InterconnectKind), schedule: Schedule) -> PipelineConfig {
-    let mut cfg = PipelineConfig::with_block(BLOCK).with_backends(backend.0, backend.1);
-    cfg.run.schedule = schedule;
-    cfg
-}
-
-fn run_cell(
+fn cell_job(
     w: &fsr_workloads::Workload,
     k: &Knobs,
     backend: (ProtocolKind, InterconnectKind),
     schedule: Schedule,
-) -> RunResult {
-    let job = Job::new(
+) -> Job<String> {
+    let mut cfg = PipelineConfig::with_block(BLOCK).with_backends(backend.0, backend.1);
+    cfg.run.schedule = schedule;
+    Job::new(
         format!("{}/{:?}/{schedule:?}", w.name, backend.0),
         w.source,
         &[("NPROC", k.nproc), ("SCALE", k.scale)],
         PlanSourceSpec::Unoptimized,
-        cell_cfg(backend, schedule),
-    );
-    let mut out = run_batch(vec![job], 1);
-    let (key, r) = out.remove(0);
-    r.unwrap_or_else(|e| panic!("{}: {e:?}", key.meta))
+        cfg,
+    )
 }
 
 struct Row {
@@ -74,10 +68,26 @@ fn main() {
     );
     let start = Instant::now();
 
-    let mut rows: Vec<Row> = Vec::new();
-    for w in fsr_workloads::all() {
+    let workloads = fsr_workloads::all();
+    // Per (workload, backend): round-robin, then each steal seed — the
+    // order the rows below read the results back in.
+    let mut jobs = Vec::new();
+    for w in &workloads {
         for backend in BACKENDS {
-            let rr = run_cell(&w, &k, backend, Schedule::RoundRobin);
+            jobs.push(cell_job(w, &k, backend, Schedule::RoundRobin));
+            for seed in WS_SEEDS {
+                jobs.push(cell_job(w, &k, backend, Schedule::WorkSteal { seed }));
+            }
+        }
+    }
+    let mut results = run_batch(jobs, k.threads)
+        .into_iter()
+        .map(|(job, r)| r.unwrap_or_else(|e| panic!("{}: {e:?}", job.meta)));
+
+    let mut rows: Vec<Row> = Vec::new();
+    for w in &workloads {
+        for backend in BACKENDS {
+            let rr = results.next().expect("one result per job");
             assert_eq!(
                 rr.interp.steals, 0,
                 "{}: round-robin must not steal",
@@ -86,7 +96,7 @@ fn main() {
             assert_eq!(rr.timing.steal_joins, 0, "{}: rr steal joins", w.name);
             let mut ws = Vec::new();
             for &seed in &WS_SEEDS {
-                let r = run_cell(&w, &k, backend, Schedule::WorkSteal { seed });
+                let r = results.next().expect("one result per job");
                 assert_eq!(
                     r.interp.steals, r.timing.steal_joins,
                     "{}/{:?}/seed {seed}: interpreter steals vs timing joins",

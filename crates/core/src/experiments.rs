@@ -15,9 +15,14 @@
 //! front ends are compiled once per (program, params) and configurations
 //! with address-identical layouts — e.g. the unoptimized baseline across
 //! every block size — share a single interpretation (the paper's own
-//! trace-once, simulate-many methodology).
+//! trace-once, simulate-many methodology). Figure 3 and Table 2 also
+//! expose their job lists and row folds ([`figure3_jobs`] /
+//! [`figure3_rows`], [`table2_jobs`] / [`table2_rows`]) so the same
+//! grid can run through the per-job reference path,
+//! [`run_jobs`](crate::driver::run_jobs).
 
-use crate::driver::{run_batch, Job, PlanSourceSpec};
+use crate::driver::{run_batch, Job, JobResults, PlanSourceSpec};
+use crate::world::FrontEnd;
 use crate::{
     run_pipeline, InterconnectKind, MissKind, ObjCoherence, PipelineConfig, PipelineError,
     ProtocolKind, SimStats,
@@ -116,8 +121,9 @@ pub struct Fig3Row {
     pub other_miss_rate: f64,
 }
 
+/// Which Figure 3 bar a job computes.
 #[derive(Debug, Clone, Copy)]
-struct Fig3Meta {
+pub struct Fig3Meta {
     program: &'static str,
     block: u32,
     version: Vsn,
@@ -126,6 +132,11 @@ struct Fig3Meta {
 /// Figure 3: the six N+C programs at the given block sizes (paper: 16
 /// and 128 bytes, 12 processors), on the paper's MSI + ring substrate.
 pub fn figure3(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> Vec<Fig3Row> {
+    figure3_rows(run_batch(figure3_jobs(nproc, scale, blocks), threads))
+}
+
+/// The jobs behind [`figure3`]: one per (program, block, version).
+pub fn figure3_jobs(nproc: i64, scale: i64, blocks: &[u32]) -> Vec<Job<Fig3Meta>> {
     let backend = Backend::default();
     let set = fsr_workloads::figure3_set();
     let mut jobs = Vec::new();
@@ -147,7 +158,13 @@ pub fn figure3(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> Vec<Fi
             }
         }
     }
-    run_batch(jobs, threads)
+    jobs
+}
+
+/// Figure 3 rows from the results of [`figure3_jobs`], in job order;
+/// failed jobs leave no row.
+pub fn figure3_rows(results: JobResults<Fig3Meta>) -> Vec<Fig3Row> {
+    results
         .into_iter()
         .filter_map(|(job, r)| {
             let r = r.ok()?;
@@ -155,8 +172,8 @@ pub fn figure3(nproc: i64, scale: i64, blocks: &[u32], threads: usize) -> Vec<Fi
                 program: job.meta.program.to_string(),
                 block: job.meta.block,
                 version: job.meta.version.label().to_string(),
-                protocol: backend.protocol.name().to_string(),
-                interconnect: backend.interconnect.name().to_string(),
+                protocol: job.cfg.protocol.name().to_string(),
+                interconnect: job.cfg.machine.interconnect.name().to_string(),
                 refs: r.sim.refs,
                 fs_miss_rate: r.sim.false_sharing() as f64 / r.sim.refs.max(1) as f64,
                 other_miss_rate: r.sim.other_misses() as f64 / r.sim.refs.max(1) as f64,
@@ -186,8 +203,9 @@ pub struct Table2Row {
     pub dropped_blocks: usize,
 }
 
+/// Which Table 2 sample a job computes.
 #[derive(Debug, Clone, Copy)]
-struct T2Meta {
+pub struct T2Meta {
     prog_idx: usize,
     block: u32,
     /// 0 = unoptimized baseline, 1 = full plan, 2..=5 = per-class
@@ -207,16 +225,27 @@ pub fn table2(
     blocks: &[u32],
     threads: usize,
 ) -> Result<Vec<Table2Row>, PipelineError> {
+    let jobs = table2_jobs(nproc, scale, blocks)?;
+    Ok(table2_rows(blocks, run_batch(jobs, threads)))
+}
+
+/// The jobs behind [`table2`]: per (program, block), the unoptimized
+/// baseline, the full compiler plan and its four one-class ablations.
+/// Fails if a program does not compile or analyze.
+pub fn table2_jobs(
+    nproc: i64,
+    scale: i64,
+    blocks: &[u32],
+) -> Result<Vec<Job<T2Meta>>, PipelineError> {
     let backend = Backend::default();
     let set = fsr_workloads::figure3_set();
     let mut jobs: Vec<Job<T2Meta>> = Vec::new();
     for (wi, w) in set.iter().enumerate() {
         let src: Arc<str> = Arc::from(w.source);
-        let prog = fsr_lang::compile_with_params(w.source, &[("NPROC", nproc), ("SCALE", scale)])?;
-        let analysis = fsr_analysis::analyze(&prog)?;
+        let fe = FrontEnd::compile(w.source, &std_params(nproc, scale))?;
         for &b in blocks {
             let cfg = backend.config(b);
-            let full = fsr_transform::plan_for(&prog, &analysis, &cfg.plan_cfg);
+            let full = fe.plan(&PlanSourceSpec::Compiler, &cfg)?;
             let cells = [
                 PlanSourceSpec::Unoptimized,
                 PlanSourceSpec::Explicit(full.clone()),
@@ -244,9 +273,17 @@ pub fn table2(
             }
         }
     }
+    Ok(jobs)
+}
 
+/// Table 2 rows from the results of [`table2_jobs`] over `blocks`, one
+/// per program. A block whose baseline has no false-sharing misses is
+/// dropped from that program's average (and logged).
+pub fn table2_rows(blocks: &[u32], results: JobResults<T2Meta>) -> Vec<Table2Row> {
+    let backend = Backend::default();
+    let set = fsr_workloads::figure3_set();
     let mut fs: HashMap<(usize, u32, usize), u64> = HashMap::new();
-    for (job, r) in run_batch(jobs, threads) {
+    for (job, r) in results {
         if let Ok(r) = r {
             fs.insert(
                 (job.meta.prog_idx, job.meta.block, job.meta.cell),
@@ -292,7 +329,7 @@ pub fn table2(
             dropped_blocks: dropped,
         });
     }
-    Ok(rows)
+    rows
 }
 
 /// Speedup sweep for one program version over processor counts.

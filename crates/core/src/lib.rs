@@ -32,12 +32,10 @@ pub use world::{refine_facts_from, CacheStats, Evicted, LintSummary, Snapshot, W
 pub use fsr_analysis::{Analysis, Pattern};
 pub use fsr_interp::{RunConfig, Schedule};
 pub use fsr_lang::Program;
-pub use fsr_machine::{
-    Interconnect, InterconnectKind, MachineConfig, SpeedupCurve, TimingStats, TxCost,
-};
+pub use fsr_machine::{InterconnectKind, MachineConfig, SpeedupCurve, TimingStats, TxCost};
 pub use fsr_sim::{
     report::{ObjCoherence, ObjMisses},
-    CacheConfig, CoherenceEvent, CoherenceProtocol, MissKind, ProtocolKind, SimStats,
+    CacheConfig, CoherenceEvent, MissKind, ProtocolKind, SimStats,
 };
 pub use fsr_transform::{LayoutPlan, ObjPlan, PlanConfig};
 

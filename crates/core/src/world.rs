@@ -145,8 +145,8 @@ pub struct LintSummary {
     pub racy: Vec<String>,
     /// Conflicting pairs suppressed as unprovable (see `fsr-analysis`).
     pub suppressed_pairs: usize,
-    /// `(object label, reason)` for every suppressed access group,
-    /// sorted by label.
+    /// `(object label, reason)` for every suppressed access group, in
+    /// (object, field) id order.
     pub suppressed: Vec<(String, String)>,
     /// Whether dynamic refinement facts from a recorded trace were
     /// folded into the verdicts.

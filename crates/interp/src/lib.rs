@@ -31,9 +31,8 @@ pub use bytecode::{Compiled, Instr};
 pub use compile::compile_program;
 pub use hb::HbChecker;
 pub use vm::{
-    runs_started, CountingSink, FinalState, Interp, MemRef, RecordedTrace, RoundRobin, RunConfig,
-    RunStats, RuntimeError, Schedule, Scheduler, Slot, TeeSink, TraceEvent, TraceSink, VecSink,
-    WorkSteal,
+    runs_started, CountingSink, FinalState, Interp, MemRef, RecordedTrace, RunConfig, RunStats,
+    RuntimeError, Schedule, TeeSink, TraceEvent, TraceSink, VecSink,
 };
 
 use fsr_lang::ast::Program;

@@ -329,7 +329,7 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// One scheduling decision within a lock-step round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Slot {
+enum Slot {
     /// Worker `worker` gets one turn with task `task`: execute one
     /// instruction if it is runnable, otherwise service its blocked
     /// state (barrier arrival, spin probe, join check).
@@ -342,62 +342,70 @@ pub enum Slot {
     EndRound,
 }
 
-/// A scheduling policy: decides, slot by slot, which worker gets which
-/// task each round. The VM drives the policy pull-style so decisions
-/// always see live process states, and notifies it when tasks block or
-/// become runnable.
+/// The scheduling state [`Interp::run`] drives: decides, slot by slot,
+/// which worker gets which task each round. The VM pulls slots so
+/// decisions always see live process states, and notifies the schedule
+/// when tasks block or become runnable.
 ///
 /// Each task receives at most one slot per round (the lock-step
 /// invariant), so a schedule can reorder *who* runs *where*, never how
 /// much anyone runs.
-pub trait Scheduler {
-    /// Produce the next slot of the current round. A work-stealing
-    /// policy records its steal events here (into `sink`/`stats`), at
-    /// the moment the steal happens, so the trace interleaves steals
-    /// with the accesses they cause.
-    fn next(&mut self, sink: &mut dyn TraceSink, stats: &mut RunStats) -> Slot;
+enum Sched {
+    /// The paper's fixed interleaving: worker `p` visits task `p`, in
+    /// pid order, every round. Produces exactly the event stream the
+    /// original scheduler-less VM produced.
+    RoundRobin {
+        n: usize,
+        cursor: usize,
+    },
+    WorkSteal(WorkSteal),
+}
+
+impl Sched {
+    fn new(schedule: Schedule, n: usize) -> Sched {
+        match schedule {
+            Schedule::RoundRobin => Sched::RoundRobin { n, cursor: 0 },
+            Schedule::WorkSteal { seed } => Sched::WorkSteal(WorkSteal::new(n, seed)),
+        }
+    }
+
+    /// Produce the next slot of the current round. Work stealing records
+    /// its steal events here (into `sink`/`stats`), at the moment the
+    /// steal happens, so the trace interleaves steals with the accesses
+    /// they cause.
+    fn next(&mut self, sink: &mut dyn TraceSink, stats: &mut RunStats) -> Slot {
+        match self {
+            Sched::RoundRobin { n, cursor } => {
+                if *cursor == *n {
+                    *cursor = 0;
+                    return Slot::EndRound;
+                }
+                let p = *cursor;
+                *cursor += 1;
+                Slot::Visit {
+                    worker: p as u32,
+                    task: p,
+                }
+            }
+            Sched::WorkSteal(ws) => ws.next(sink, stats),
+        }
+    }
 
     /// Task `task` just executed one instruction on `worker`;
     /// `still_run` says whether it remains runnable.
-    fn stepped(&mut self, task: usize, worker: u32, still_run: bool);
+    fn stepped(&mut self, task: usize, worker: u32, still_run: bool) {
+        if let Sched::WorkSteal(ws) = self {
+            ws.stepped(task, worker, still_run);
+        }
+    }
 
     /// A blocked (or fresh) `task` became runnable; `worker` is the
     /// worker that last executed it (its cache holds the working set).
-    fn unblocked(&mut self, task: usize, worker: u32);
-}
-
-/// The paper's fixed interleaving: worker `p` visits task `p`, in pid
-/// order, every round. Produces exactly the event stream the original
-/// scheduler-less VM produced.
-#[derive(Debug)]
-pub struct RoundRobin {
-    n: usize,
-    cursor: usize,
-}
-
-impl RoundRobin {
-    pub fn new(n: usize) -> Self {
-        RoundRobin { n, cursor: 0 }
-    }
-}
-
-impl Scheduler for RoundRobin {
-    fn next(&mut self, _sink: &mut dyn TraceSink, _stats: &mut RunStats) -> Slot {
-        if self.cursor == self.n {
-            self.cursor = 0;
-            return Slot::EndRound;
-        }
-        let p = self.cursor;
-        self.cursor += 1;
-        Slot::Visit {
-            worker: p as u32,
-            task: p,
+    fn unblocked(&mut self, task: usize, worker: u32) {
+        if let Sched::WorkSteal(ws) = self {
+            ws.unblocked(task, worker);
         }
     }
-
-    fn stepped(&mut self, _task: usize, _worker: u32, _still_run: bool) {}
-
-    fn unblocked(&mut self, _task: usize, _worker: u32) {}
 }
 
 /// Seeded randomized work stealing over per-worker deques.
@@ -411,8 +419,13 @@ impl Scheduler for RoundRobin {
 /// worker that last ran them. Everything is driven by one splitmix64
 /// stream from `seed`, so a fixed seed reproduces the schedule —
 /// steals, migrations, trace — bit-identically.
-#[derive(Debug)]
-pub struct WorkSteal {
+///
+/// The three methods are `#[inline(never)]`: the slot loop in
+/// [`Interp::run`] is the interpreter's hot path, and letting `next`
+/// inline into it made the round-robin loop slower end to end
+/// (`fsr_benchmark` paper-suite `wall_s` worse in 5 of 6 alternating
+/// pairs on a 2-core host, medians 4.77 s → 5.35 s).
+struct WorkSteal {
     n: usize,
     rng: u64,
     deques: Vec<std::collections::VecDeque<usize>>,
@@ -424,7 +437,7 @@ pub struct WorkSteal {
 }
 
 impl WorkSteal {
-    pub fn new(n: usize, seed: u64) -> Self {
+    fn new(n: usize, seed: u64) -> Self {
         WorkSteal {
             n,
             rng: splitmix64(seed),
@@ -435,9 +448,8 @@ impl WorkSteal {
             pcur: 0,
         }
     }
-}
 
-impl Scheduler for WorkSteal {
+    #[inline(never)]
     fn next(&mut self, sink: &mut dyn TraceSink, stats: &mut RunStats) -> Slot {
         // Phase A: each worker takes one task — own deque first, then
         // steal. A task pushed back after running this round is fenced
@@ -494,6 +506,7 @@ impl Scheduler for WorkSteal {
         Slot::EndRound
     }
 
+    #[inline(never)]
     fn stepped(&mut self, task: usize, worker: u32, still_run: bool) {
         if still_run {
             self.deques[worker as usize].push_back(task);
@@ -501,6 +514,7 @@ impl Scheduler for WorkSteal {
         }
     }
 
+    #[inline(never)]
     fn unblocked(&mut self, task: usize, worker: u32) {
         self.deques[worker as usize].push_back(task);
         self.in_deque[task] = true;
@@ -691,26 +705,14 @@ impl<'a> Interp<'a> {
 
     /// Run to completion under the configured schedule, streaming
     /// references into `sink`.
-    pub fn run(self, sink: &mut dyn TraceSink) -> Result<FinalState, RuntimeError> {
-        let n = self.procs.len();
-        match self.cfg.schedule {
-            Schedule::RoundRobin => self.run_with(&mut RoundRobin::new(n), sink),
-            Schedule::WorkSteal { seed } => self.run_with(&mut WorkSteal::new(n, seed), sink),
-        }
-    }
-
-    /// Run to completion under an explicit scheduling policy.
     ///
-    /// With [`RoundRobin`] this produces, event for event, the stream
-    /// the original fixed-interleaving loop produced: each round visits
-    /// tasks in pid order with worker == pid, and the slot handler is
-    /// the same per-state code the old loop inlined.
-    pub fn run_with(
-        mut self,
-        sched: &mut dyn Scheduler,
-        sink: &mut dyn TraceSink,
-    ) -> Result<FinalState, RuntimeError> {
-        // Hand the scheduler the initially-runnable tasks (process 0).
+    /// Under [`Schedule::RoundRobin`] this produces, event for event,
+    /// the stream the original fixed-interleaving loop produced: each
+    /// round visits tasks in pid order with worker == pid, and the slot
+    /// handler is the same per-state code the old loop inlined.
+    pub fn run(mut self, sink: &mut dyn TraceSink) -> Result<FinalState, RuntimeError> {
+        let mut sched = Sched::new(self.cfg.schedule, self.procs.len());
+        // Hand the schedule the initially-runnable tasks (process 0).
         for p in 0..self.procs.len() {
             if self.procs[p].state == ProcState::Run {
                 sched.unblocked(p, self.worker_of[p]);
@@ -729,11 +731,11 @@ impl<'a> Interp<'a> {
                     } else {
                         progressed |= self.poll(task, sink);
                     }
-                    self.drain_woke(sched);
+                    self.drain_woke(&mut sched);
                 }
                 Slot::Poll { task } => {
                     progressed |= self.poll(task, sink);
-                    self.drain_woke(sched);
+                    self.drain_woke(&mut sched);
                 }
                 Slot::EndRound => {
                     if !progressed {
@@ -761,7 +763,7 @@ impl<'a> Interp<'a> {
     }
 
     /// Report tasks that became runnable during the last slot.
-    fn drain_woke(&mut self, sched: &mut dyn Scheduler) {
+    fn drain_woke(&mut self, sched: &mut Sched) {
         for i in 0..self.woke.len() {
             let q = self.woke[i] as usize;
             sched.unblocked(q, self.worker_of[q]);

@@ -2,31 +2,33 @@
 //!
 //! The machine replays the same stream the cache simulator classifies
 //! and accounts cycles per processor. Topology and transaction routing
-//! are pluggable behind the [`Interconnect`] trait:
+//! are selected by [`InterconnectKind`]:
 //!
-//! - [`Ksr2Ring`] (the default) models the paper's 56-processor KSR2:
-//!   processors arranged on rings of 32; a miss serviced within the
-//!   requester's ring costs 175 cycles, a miss serviced by a processor
-//!   on another ring costs 600 cycles; cold/capacity misses are served
-//!   by the local ALLCACHE partition without touching a ring.
-//! - [`Bus`] is a flat bus/crossbar: one shared channel, uniform miss
-//!   latency (no cross-ring penalty), but *every* fill occupies the
-//!   single channel — it saturates earlier as processors are added.
-//! - [`HomeDir`] is a DASH-style home-node directory fabric: one
-//!   channel per node, every miss and upgrade visits the referenced
-//!   block's address-interleaved home (`block % nproc`), and a dirty
-//!   third-party owner turns a 2-hop fill into a 3-hop forward. Pair it
-//!   with the `directory` protocol.
+//! - [`InterconnectKind::Ksr2Ring`] (the default) models the paper's
+//!   56-processor KSR2: processors arranged on rings of 32; a miss
+//!   serviced within the requester's ring costs 175 cycles, a miss
+//!   serviced by a processor on another ring costs 600 cycles;
+//!   cold/capacity misses are served by the local ALLCACHE partition
+//!   without touching a ring.
+//! - [`InterconnectKind::Bus`] is a flat bus/crossbar: one shared
+//!   channel, uniform miss latency (no cross-ring penalty), but *every*
+//!   fill occupies the single channel — it saturates earlier as
+//!   processors are added.
+//! - [`InterconnectKind::HomeDir`] is a DASH-style home-node directory
+//!   fabric: one channel per node, every miss and upgrade visits the
+//!   referenced block's address-interleaved home (`block % nproc`), and
+//!   a dirty third-party owner turns a 2-hop fill into a 3-hop forward.
+//!   Pair it with the `directory` protocol.
 //!
-//! Channel ids are interconnect-defined — ring index for [`Ksr2Ring`],
-//! always 0 for [`Bus`], home-node id for [`HomeDir`]. Every coherence
-//! transaction (miss fill or invalidating upgrade) *occupies* its
-//! channel(s) for a fixed number of slot cycles, so aggregate coherence
-//! traffic is bounded by interconnect bandwidth: as more processors
-//! generate misses — in particular the superlinear ping-pong traffic of
-//! falsely shared blocks — queueing delay grows and the speedup curve
-//! rolls over, reproducing the paper's scalability collapse for
-//! unoptimized programs.
+//! Channel ids are interconnect-defined — ring index for the KSR2
+//! rings, always 0 for the bus, home-node id for the directory fabric.
+//! Every coherence transaction (miss fill or invalidating upgrade)
+//! *occupies* its channel(s) for a fixed number of slot cycles, so
+//! aggregate coherence traffic is bounded by interconnect bandwidth: as
+//! more processors generate misses — in particular the superlinear
+//! ping-pong traffic of falsely shared blocks — queueing delay grows and
+//! the speedup curve rolls over, reproducing the paper's scalability
+//! collapse for unoptimized programs.
 //!
 //! The models deliberately stay analytic (per-channel next-free-time
 //! counters, no packet-level simulation): the paper's execution-time
@@ -35,9 +37,11 @@
 
 use fsr_sim::{MissKind, Outcome};
 
-/// Which interconnect topology the timing model replays against. A
-/// plain selector enum so machine configurations stay `Copy`; resolved
-/// to a `&'static dyn Interconnect` at model construction.
+/// Which interconnect topology the timing model replays against: its
+/// channel count and per-transaction routing. The shared replay
+/// machinery (per-processor clocks, channel next-free-time counters,
+/// stall attribution) lives in [`TimingModel`]; an interconnect only
+/// decides *where* a transaction goes and *what it costs*.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum InterconnectKind {
     #[default]
@@ -64,12 +68,25 @@ impl InterconnectKind {
         }
     }
 
-    /// The trait instance this selector names.
-    pub fn interconnect(self) -> &'static dyn Interconnect {
+    /// Number of shared channels an `nproc`-processor machine has: its
+    /// rings for the KSR2 hierarchy, one for the bus, one per node for
+    /// the directory fabric.
+    pub fn num_channels(self, cfg: &MachineConfig, nproc: u32) -> usize {
         match self {
-            InterconnectKind::Ksr2Ring => &Ksr2Ring,
-            InterconnectKind::Bus => &Bus,
-            InterconnectKind::HomeDir => &HomeDir,
+            InterconnectKind::Ksr2Ring => nproc.div_ceil(cfg.procs_per_ring).max(1) as usize,
+            InterconnectKind::Bus => 1,
+            InterconnectKind::HomeDir => nproc.max(1) as usize,
+        }
+    }
+
+    /// Route one non-hit transaction (`outcome.hit()` is false) by
+    /// processor `pid`. `nproc` is the machine size — home-node
+    /// topologies interleave `outcome.block` across it to find the home.
+    pub fn route(self, cfg: &MachineConfig, nproc: u32, pid: u32, outcome: &Outcome) -> Route {
+        match self {
+            InterconnectKind::Ksr2Ring => ring_route(cfg, pid, outcome),
+            InterconnectKind::Bus => bus_route(cfg, outcome),
+            InterconnectKind::HomeDir => home_dir_route(cfg, nproc, pid, outcome),
         }
     }
 }
@@ -168,82 +185,40 @@ impl Route {
     }
 }
 
-/// Topology + per-transaction routing of a timing backend. The shared
-/// replay machinery (per-processor clocks, channel next-free-time
-/// counters, stall attribution) lives in [`TimingModel`]; an
-/// interconnect only decides *where* a transaction goes and *what it
-/// costs*.
-pub trait Interconnect: Sync {
-    fn kind(&self) -> InterconnectKind;
-
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Number of shared channels an `nproc`-processor machine has.
-    fn num_channels(&self, cfg: &MachineConfig, nproc: u32) -> usize;
-
-    /// The channel a processor's own node sits on (its ring for the
-    /// KSR2 hierarchy, channel 0 for the bus, its home-node channel for
-    /// the directory fabric).
-    fn channel_of(&self, cfg: &MachineConfig, pid: u32) -> usize;
-
-    /// Route one non-hit transaction (`outcome.hit()` is false).
-    /// `nproc` is the machine size — home-node topologies interleave
-    /// `outcome.block` across it to find the home.
-    fn route(&self, cfg: &MachineConfig, nproc: u32, pid: u32, outcome: &Outcome) -> Route;
-}
-
 /// The paper's machine: processors on rings of `procs_per_ring`;
 /// cold/capacity misses served by the local ALLCACHE level (no ring
 /// occupancy), sharing misses pay local or cross-ring latency.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Ksr2Ring;
-
-impl Interconnect for Ksr2Ring {
-    fn kind(&self) -> InterconnectKind {
-        InterconnectKind::Ksr2Ring
-    }
-
-    fn num_channels(&self, cfg: &MachineConfig, nproc: u32) -> usize {
-        nproc.div_ceil(cfg.procs_per_ring).max(1) as usize
-    }
-
-    fn channel_of(&self, cfg: &MachineConfig, pid: u32) -> usize {
-        (pid / cfg.procs_per_ring) as usize
-    }
-
-    fn route(&self, cfg: &MachineConfig, _nproc: u32, pid: u32, outcome: &Outcome) -> Route {
-        let my_ring = self.channel_of(cfg, pid);
-        let inval_occ = outcome.invalidations as u64 * cfg.invalidation_occupancy;
-        let (latency, occupancy, remote_ring) = if let Some(kind) = outcome.miss {
-            let remote = outcome
-                .supplier
-                .map(|s| self.channel_of(cfg, s as u32))
-                .filter(|&r| r != my_ring);
-            // Cold/capacity misses with no remote supplier are served by
-            // the local ALLCACHE level; sharing misses travel the ring.
-            let served_locally = outcome.supplier.is_none()
-                && matches!(kind, MissKind::Cold | MissKind::Replacement);
-            let lat = if served_locally {
-                cfg.l2_miss_cycles
-            } else if remote.is_some() {
-                cfg.remote_miss_cycles
-            } else {
-                cfg.local_miss_cycles
-            };
-            let occ = if served_locally {
-                0
-            } else {
-                cfg.miss_occupancy
-            };
-            (lat, occ, remote)
+fn ring_route(cfg: &MachineConfig, pid: u32, outcome: &Outcome) -> Route {
+    let ring_of = |p: u32| (p / cfg.procs_per_ring) as usize;
+    let my_ring = ring_of(pid);
+    let inval_occ = outcome.invalidations as u64 * cfg.invalidation_occupancy;
+    let (latency, occupancy, remote_ring) = if let Some(kind) = outcome.miss {
+        let remote = outcome
+            .supplier
+            .map(|s| ring_of(s as u32))
+            .filter(|&r| r != my_ring);
+        // Cold/capacity misses with no remote supplier are served by
+        // the local ALLCACHE level; sharing misses travel the ring.
+        let served_locally =
+            outcome.supplier.is_none() && matches!(kind, MissKind::Cold | MissKind::Replacement);
+        let lat = if served_locally {
+            cfg.l2_miss_cycles
+        } else if remote.is_some() {
+            cfg.remote_miss_cycles
         } else {
-            // Upgrade.
-            (cfg.upgrade_cycles, cfg.upgrade_occupancy, None)
+            cfg.local_miss_cycles
         };
-        Route::snoop(latency, occupancy + inval_occ, my_ring, remote_ring)
-    }
+        let occ = if served_locally {
+            0
+        } else {
+            cfg.miss_occupancy
+        };
+        (lat, occ, remote)
+    } else {
+        // Upgrade.
+        (cfg.upgrade_cycles, cfg.upgrade_occupancy, None)
+    };
+    Route::snoop(latency, occupancy + inval_occ, my_ring, remote_ring)
 }
 
 /// Flat bus/crossbar: one shared channel, uniform memory access. A
@@ -252,39 +227,22 @@ impl Interconnect for Ksr2Ring {
 /// latency — but *every* fill occupies the single channel, so the bus
 /// saturates as processors are added where the ring hierarchy still
 /// has headroom.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Bus;
-
-impl Interconnect for Bus {
-    fn kind(&self) -> InterconnectKind {
-        InterconnectKind::Bus
-    }
-
-    fn num_channels(&self, _cfg: &MachineConfig, _nproc: u32) -> usize {
-        1
-    }
-
-    fn channel_of(&self, _cfg: &MachineConfig, _pid: u32) -> usize {
-        0
-    }
-
-    fn route(&self, cfg: &MachineConfig, _nproc: u32, _pid: u32, outcome: &Outcome) -> Route {
-        let inval_occ = outcome.invalidations as u64 * cfg.invalidation_occupancy;
-        let (latency, occupancy) = if let Some(kind) = outcome.miss {
-            let served_by_memory = outcome.supplier.is_none()
-                && matches!(kind, MissKind::Cold | MissKind::Replacement);
-            let lat = if served_by_memory {
-                cfg.l2_miss_cycles
-            } else {
-                cfg.local_miss_cycles
-            };
-            // Memory sits on the bus: every fill holds the channel.
-            (lat, cfg.miss_occupancy)
+fn bus_route(cfg: &MachineConfig, outcome: &Outcome) -> Route {
+    let inval_occ = outcome.invalidations as u64 * cfg.invalidation_occupancy;
+    let (latency, occupancy) = if let Some(kind) = outcome.miss {
+        let served_by_memory =
+            outcome.supplier.is_none() && matches!(kind, MissKind::Cold | MissKind::Replacement);
+        let lat = if served_by_memory {
+            cfg.l2_miss_cycles
         } else {
-            (cfg.upgrade_cycles, cfg.upgrade_occupancy)
+            cfg.local_miss_cycles
         };
-        Route::snoop(latency, occupancy + inval_occ, 0, None)
-    }
+        // Memory sits on the bus: every fill holds the channel.
+        (lat, cfg.miss_occupancy)
+    } else {
+        (cfg.upgrade_cycles, cfg.upgrade_occupancy)
+    };
+    Route::snoop(latency, occupancy + inval_occ, 0, None)
 }
 
 /// DASH-style home-node directory fabric: memory and directory state
@@ -306,62 +264,45 @@ impl Interconnect for Bus {
 ///   `three_hop_miss_cycles`, occupying the owner's channel too;
 /// - upgrade → `upgrade_cycles`, plus one invalidation message per
 ///   presence bit (`invalidation_occupancy` each) charged at the home.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HomeDir;
-
-impl Interconnect for HomeDir {
-    fn kind(&self) -> InterconnectKind {
-        InterconnectKind::HomeDir
-    }
-
-    fn num_channels(&self, _cfg: &MachineConfig, nproc: u32) -> usize {
-        nproc.max(1) as usize
-    }
-
-    fn channel_of(&self, _cfg: &MachineConfig, pid: u32) -> usize {
-        pid as usize
-    }
-
-    fn route(&self, cfg: &MachineConfig, nproc: u32, pid: u32, outcome: &Outcome) -> Route {
-        let requester = pid as usize;
-        let home = (outcome.block % nproc.max(1)) as usize;
-        let lookup = if home == requester {
-            0
+fn home_dir_route(cfg: &MachineConfig, nproc: u32, pid: u32, outcome: &Outcome) -> Route {
+    let requester = pid as usize;
+    let home = (outcome.block % nproc.max(1)) as usize;
+    let lookup = if home == requester {
+        0
+    } else {
+        cfg.dir_lookup_cycles
+    };
+    let inval_occ = outcome.invalidations as u64 * cfg.invalidation_occupancy;
+    // Third-party dirty owner the home must forward to (owner == home
+    // or owner == requester stays 2-hop).
+    let forwarded = outcome
+        .supplier
+        .map(|s| s as usize)
+        .filter(|&o| o != home && o != requester);
+    let (latency, occupancy, hops) = if outcome.miss.is_some() {
+        if let Some(_owner) = forwarded {
+            (cfg.three_hop_miss_cycles + lookup, cfg.miss_occupancy, 3)
+        } else if home == requester && outcome.supplier.is_none() {
+            // Local home with a clean block: fill from the node's own
+            // memory, no fabric occupancy.
+            (cfg.l2_miss_cycles, 0, 2)
         } else {
-            cfg.dir_lookup_cycles
-        };
-        let inval_occ = outcome.invalidations as u64 * cfg.invalidation_occupancy;
-        // Third-party dirty owner the home must forward to (owner == home
-        // or owner == requester stays 2-hop).
-        let forwarded = outcome
-            .supplier
-            .map(|s| s as usize)
-            .filter(|&o| o != home && o != requester);
-        let (latency, occupancy, hops) = if outcome.miss.is_some() {
-            if let Some(_owner) = forwarded {
-                (cfg.three_hop_miss_cycles + lookup, cfg.miss_occupancy, 3)
-            } else if home == requester && outcome.supplier.is_none() {
-                // Local home with a clean block: fill from the node's own
-                // memory, no fabric occupancy.
-                (cfg.l2_miss_cycles, 0, 2)
-            } else {
-                (cfg.local_miss_cycles + lookup, cfg.miss_occupancy, 2)
-            }
-        } else {
-            (cfg.upgrade_cycles + lookup, cfg.upgrade_occupancy, 2)
-        };
-        // `forwarded` excludes both home and requester, so the three
-        // channels are distinct by construction.
-        Route {
-            latency,
-            occupancy: occupancy + inval_occ,
-            channels: [
-                Some(home),
-                (home != requester).then_some(requester),
-                forwarded,
-            ],
-            hops,
+            (cfg.local_miss_cycles + lookup, cfg.miss_occupancy, 2)
         }
+    } else {
+        (cfg.upgrade_cycles + lookup, cfg.upgrade_occupancy, 2)
+    };
+    // `forwarded` excludes both home and requester, so the three
+    // channels are distinct by construction.
+    Route {
+        latency,
+        occupancy: occupancy + inval_occ,
+        channels: [
+            Some(home),
+            (home != requester).then_some(requester),
+            forwarded,
+        ],
+        hops,
     }
 }
 
@@ -419,26 +360,17 @@ pub struct TxCost {
 #[derive(Debug)]
 pub struct TimingModel {
     cfg: MachineConfig,
-    interconnect: &'static dyn Interconnect,
     nproc: u32,
     proc_time: Vec<u64>,
     chan_free: Vec<u64>,
     stats: TimingStats,
 }
 
-impl std::fmt::Debug for dyn Interconnect {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 impl TimingModel {
     pub fn new(cfg: MachineConfig, nproc: u32) -> TimingModel {
-        let interconnect = cfg.interconnect.interconnect();
-        let channels = interconnect.num_channels(&cfg, nproc);
+        let channels = cfg.interconnect.num_channels(&cfg, nproc);
         TimingModel {
             cfg,
-            interconnect,
             nproc,
             proc_time: vec![0; nproc as usize],
             chan_free: vec![0; channels],
@@ -450,18 +382,6 @@ impl TimingModel {
                 ..Default::default()
             },
         }
-    }
-
-    pub fn interconnect(&self) -> &'static dyn Interconnect {
-        self.interconnect
-    }
-
-    /// The channel a processor's node sits on. The name dates from the
-    /// ring-only model; with trait-based interconnects it is whatever
-    /// [`Interconnect::channel_of`] says — ring index (KSR2), 0 (bus),
-    /// or the processor's own home-node channel (directory fabric).
-    pub fn ring_of(&self, pid: u32) -> usize {
-        self.interconnect.channel_of(&self.cfg, pid)
     }
 
     /// Account one reference: `gap` compute cycles since the processor's
@@ -522,6 +442,7 @@ impl TimingModel {
     fn record_tx(&mut self, pid: u8, outcome: &Outcome) -> TxCost {
         let p = pid as usize;
         let route = self
+            .cfg
             .interconnect
             .route(&self.cfg, self.nproc, pid as u32, outcome);
 
@@ -889,7 +810,8 @@ mod tests {
     fn bus_has_one_channel_and_uniform_latency() {
         let cfg = bus_cfg();
         let mut m = TimingModel::new(cfg, 56);
-        assert_eq!(m.ring_of(0), m.ring_of(40));
+        // Processors 0 and 40 (different KSR2 rings) share the channel.
+        assert_eq!(InterconnectKind::Bus.num_channels(&cfg, 56), 1);
         // A far-away supplier costs the same as a near one: no remote
         // penalty on a flat crossbar.
         m.record(0, 0, &miss(MissKind::TrueSharing, Some(40)));
@@ -936,8 +858,12 @@ mod tests {
     #[test]
     fn home_dir_has_one_channel_per_node() {
         let cfg = dir_cfg();
-        assert_eq!(HomeDir.num_channels(&cfg, 8), 8);
-        assert_eq!(HomeDir.channel_of(&cfg, 5), 5);
+        let ic = InterconnectKind::HomeDir;
+        assert_eq!(ic.num_channels(&cfg, 8), 8);
+        // Processor 5 sits on channel 5: its miss on block 1 occupies the
+        // home's channel (node 1) and its own.
+        let route = ic.route(&cfg, 8, 5, &miss_at(1, MissKind::Cold, None));
+        assert_eq!(route.channels, [Some(1), Some(5), None]);
         let m = TimingModel::new(cfg, 8);
         assert_eq!(m.stats().channel_busy.len(), 8);
     }

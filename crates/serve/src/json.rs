@@ -9,6 +9,13 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`parse`] accepts, far above the
+/// protocol's deepest message (about 7 levels). The parser recurses once
+/// per level, so the bound keeps a hostile line from overflowing its
+/// thread's stack (connection threads get Rust's 2 MiB default), which
+/// would abort the whole daemon.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value. Integers that fit `i64` are kept exact in
 /// `Int`; everything else numeric falls back to `Num`.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +119,11 @@ impl fmt::Display for Value {
 /// transport is strictly one document per line).
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -125,6 +136,8 @@ pub fn parse(src: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -171,8 +184,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -180,6 +193,20 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parse one array or object, at most [`MAX_DEPTH`] levels deep.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -411,6 +438,17 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for deep in ["[", "{\"a\": "] {
+            let err = parse(&deep.repeat(100_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&arrays(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

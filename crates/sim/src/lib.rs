@@ -7,18 +7,18 @@
 //! behaviour is classified). Block sizes from 4 to 256 bytes are
 //! supported.
 //!
-//! The line-state machine is pluggable behind the [`CoherenceProtocol`]
-//! trait: the paper's substrate is [`Msi`] (the default), [`Mesi`] adds
-//! an Exclusive state that makes write hits on private data silent (no
-//! invalidating upgrade transaction), and [`Directory`] is a home-node
-//! directory protocol (DASH-style: MSI cache states, but every miss and
-//! upgrade is a transaction at the block's home directory, counted in
+//! The line-state machine is selected by [`ProtocolKind`]: the paper's
+//! substrate is [`ProtocolKind::Msi`] (the default),
+//! [`ProtocolKind::Mesi`] adds an Exclusive state that makes write hits
+//! on private data silent (no invalidating upgrade transaction), and
+//! [`ProtocolKind::Directory`] is a home-node directory protocol
+//! (DASH-style: MSI cache states, but every miss and upgrade is a
+//! transaction at the block's home directory, counted in
 //! [`SimStats::dir_txns`] and routed with 2/3-hop costs by the
-//! `fsr-machine` home-node interconnect). Miss *classification* is a
-//! protocol hook with a shared default — all three protocols classify
-//! every reference identically; only the coherence traffic they
-//! generate and its cost differ (see `tests/coherence_props.rs` for the
-//! property tests).
+//! `fsr-machine` home-node interconnect). Miss *classification* is one
+//! function all three protocols share, so they classify every reference
+//! identically; only the coherence traffic they generate and its cost
+//! differ (see `tests/coherence_props.rs` for the property tests).
 //!
 //! The per-block sharer bitmask and owner the simulator keeps for
 //! snooping bookkeeping double as the directory's presence bits and
@@ -49,22 +49,36 @@ use std::fmt;
 
 pub mod report;
 
-/// Which coherence protocol a simulator runs. A plain selector enum so
-/// configurations stay `Copy + Eq + Hash` (the batched driver groups
-/// jobs by config); resolved to a `&'static dyn CoherenceProtocol` at
-/// simulator construction.
+/// Which coherence protocol a simulator runs: the line-state machine of
+/// a write-invalidate protocol (which state a read miss installs, and
+/// whether a home directory mediates its transactions). The
+/// block-granularity bookkeeping (directory, word clocks, LRU, loss
+/// records) and miss classification are shared by all protocols and
+/// live in [`MultiSim`]. `Copy + Eq + Hash` because the batched driver
+/// groups jobs by config.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     #[default]
-    /// Write-invalidate MSI — the paper's simulated substrate.
+    /// Write-invalidate MSI — the paper's simulated substrate. Every
+    /// read fill installs Shared, so the first write to any block pays
+    /// an upgrade transaction.
     Msi,
-    /// MESI: an Exclusive state suppresses the upgrade transaction on
-    /// write hits to private (unshared) data.
+    /// MESI: a read miss with no other cached copy installs Exclusive,
+    /// and the subsequent write hit upgrades silently — private data
+    /// generates no invalidation traffic.
     Mesi,
-    /// Home-node directory protocol: MSI cache states, with every miss
-    /// and upgrade mediated by the block's home directory (counted in
-    /// [`SimStats::dir_txns`]). Pair with the `home-dir` interconnect
-    /// for 2/3-hop routing and per-home occupancy.
+    /// Home-node directory protocol (DASH-style Dir-N). Cache-side
+    /// states are MSI — the home grants read-only copies, so even a sole
+    /// reader fills Shared and the first write pays an explicit upgrade
+    /// at the directory (keeping presence bits authoritative; the DASH
+    /// exclusive-on-read optimization is deliberately omitted so the
+    /// directory ablation isolates *cost* effects from state-machine
+    /// effects). What differs from MSI is that every miss and upgrade is
+    /// a transaction at the block's home node: the simulator counts them
+    /// ([`SimStats::dir_txns`]) and the `home-dir` interconnect charges
+    /// 2-hop (home supplies) vs 3-hop (home forwards to a dirty owner)
+    /// latency plus per-home channel occupancy, including one
+    /// invalidation message per presence bit on writes.
     Directory,
 }
 
@@ -83,13 +97,21 @@ impl ProtocolKind {
         }
     }
 
-    /// The trait instance this selector names.
-    pub fn protocol(self) -> &'static dyn CoherenceProtocol {
+    /// State installed by a read miss, given whether any other cache
+    /// holds a copy of the block.
+    pub fn read_fill_state(self, other_copies: bool) -> LineState {
         match self {
-            ProtocolKind::Msi => &Msi,
-            ProtocolKind::Mesi => &Mesi,
-            ProtocolKind::Directory => &Directory,
+            ProtocolKind::Mesi if !other_copies => LineState::Exclusive,
+            ProtocolKind::Msi | ProtocolKind::Mesi | ProtocolKind::Directory => LineState::Shared,
         }
+    }
+
+    /// Whether a home-node directory mediates this protocol's coherence
+    /// transactions. When true, every miss and every upgrade counts one
+    /// directory transaction at the block's home
+    /// ([`SimStats::dir_txns`]); the snooping protocols leave it false.
+    pub fn uses_home_directory(self) -> bool {
+        self == ProtocolKind::Directory
     }
 }
 
@@ -312,120 +334,30 @@ pub enum LineState {
 
 /// Why a processor last lost a block (input to miss classification).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LostReason {
+enum LostReason {
     None,
     Eviction,
     Invalidation,
 }
 
-/// The line-state machine of a write-invalidate protocol: which state a
-/// read miss installs, and how a miss is classified from the loss
-/// record. The block-granularity bookkeeping (directory, word clocks,
-/// LRU, loss records) is shared by all protocols and lives in
-/// [`MultiSim`].
-pub trait CoherenceProtocol: Sync {
-    fn kind(&self) -> ProtocolKind;
-
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// State installed by a read miss, given whether any other cache
-    /// holds a copy of the block.
-    fn read_fill_state(&self, other_copies: bool) -> LineState;
-
-    /// Whether a home-node directory mediates this protocol's coherence
-    /// transactions. When true, every miss and every upgrade counts one
-    /// directory transaction at the block's home
-    /// ([`SimStats::dir_txns`]); the snooping protocols leave it false.
-    fn uses_home_directory(&self) -> bool {
-        false
-    }
-
-    /// Classify a miss from the loss record and the referenced word's
-    /// last-write clock. The default is the paper's exact rule; both MSI
-    /// and MESI use it, which is what makes their classifications
-    /// provably identical.
-    fn classify_miss(&self, reason: LostReason, lost_time: u64, word_write_time: u64) -> MissKind {
-        match reason {
-            LostReason::None => MissKind::Cold,
-            LostReason::Eviction => MissKind::Replacement,
-            LostReason::Invalidation => {
-                // `>=`: an invalidation at time t is always caused by a
-                // write at that same timestamp, and timestamps are unique
-                // per access — equality means "the invalidating write hit
-                // this very word".
-                if word_write_time >= lost_time {
-                    MissKind::TrueSharing
-                } else {
-                    MissKind::FalseSharing
-                }
+/// Classify a miss from the loss record and the referenced word's
+/// last-write clock: the paper's exact rule. Every protocol uses it,
+/// which is what makes their classifications provably identical.
+fn classify_miss(reason: LostReason, lost_time: u64, word_write_time: u64) -> MissKind {
+    match reason {
+        LostReason::None => MissKind::Cold,
+        LostReason::Eviction => MissKind::Replacement,
+        LostReason::Invalidation => {
+            // `>=`: an invalidation at time t is always caused by a
+            // write at that same timestamp, and timestamps are unique
+            // per access — equality means "the invalidating write hit
+            // this very word".
+            if word_write_time >= lost_time {
+                MissKind::TrueSharing
+            } else {
+                MissKind::FalseSharing
             }
         }
-    }
-}
-
-/// The paper's protocol: every read fill installs Shared, so the first
-/// write to any block pays an upgrade transaction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Msi;
-
-impl CoherenceProtocol for Msi {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Msi
-    }
-
-    fn read_fill_state(&self, _other_copies: bool) -> LineState {
-        LineState::Shared
-    }
-}
-
-/// MESI: a read miss with no other cached copy installs Exclusive, and
-/// the subsequent write hit upgrades silently — private data generates
-/// no invalidation traffic.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Mesi;
-
-impl CoherenceProtocol for Mesi {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Mesi
-    }
-
-    fn read_fill_state(&self, other_copies: bool) -> LineState {
-        if other_copies {
-            LineState::Shared
-        } else {
-            LineState::Exclusive
-        }
-    }
-}
-
-/// Home-node directory protocol (DASH-style Dir-N). Cache-side states
-/// are MSI — the home grants read-only copies, so even a sole reader
-/// fills Shared and the first write pays an explicit upgrade at the
-/// directory (keeping presence bits authoritative; the DASH
-/// exclusive-on-read optimization is deliberately omitted so the
-/// directory ablation isolates *cost* effects from state-machine
-/// effects). What differs from [`Msi`] is that every miss and upgrade
-/// is a transaction at the block's home node: the simulator counts them
-/// ([`SimStats::dir_txns`]) and the `home-dir` interconnect charges
-/// 2-hop (home supplies) vs 3-hop (home forwards to a dirty owner)
-/// latency plus per-home channel occupancy, including one invalidation
-/// message per presence bit on writes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Directory;
-
-impl CoherenceProtocol for Directory {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Directory
-    }
-
-    fn read_fill_state(&self, _other_copies: bool) -> LineState {
-        LineState::Shared
-    }
-
-    fn uses_home_directory(&self) -> bool {
-        true
     }
 }
 
@@ -528,7 +460,6 @@ impl Cache {
 /// The multiprocessor simulator.
 pub struct MultiSim {
     cfg: CacheConfig,
-    protocol: &'static dyn CoherenceProtocol,
     caches: Vec<Cache>,
     /// Directory: per block, bitmask of sharers and the modified or
     /// exclusive owner.
@@ -544,8 +475,6 @@ pub struct MultiSim {
     /// choice cannot change these, which the cross-backend equivalence
     /// tests assert.
     per_block_refs: Vec<u64>,
-    /// Cached `protocol.uses_home_directory()`: count home transactions.
-    track_dir: bool,
     /// Advances once per access; every word clock, loss record and LRU
     /// stamp is a reading of it.
     time: u64,
@@ -564,9 +493,7 @@ impl MultiSim {
         assert!(cfg.nproc >= 1 && cfg.nproc <= 64);
         let nblocks = addr_space_bytes.div_ceil(cfg.block_bytes) + 1;
         let wpb = cfg.block_bytes / 4;
-        let protocol = cfg.protocol.protocol();
         MultiSim {
-            protocol,
             caches: (0..cfg.nproc).map(|_| Cache::new(&cfg, nblocks)).collect(),
             sharers: vec![0; nblocks as usize],
             owner: vec![NO_OWNER; nblocks as usize],
@@ -574,7 +501,6 @@ impl MultiSim {
             per_block_misses: vec![[0; MissKind::COUNT]; nblocks as usize],
             per_block_events: vec![[0; CoherenceEvent::COUNT]; nblocks as usize],
             per_block_refs: vec![0; nblocks as usize],
-            track_dir: protocol.uses_home_directory(),
             time: 1,
             stats: SimStats::default(),
             block_shift: cfg.block_bytes.trailing_zeros(),
@@ -585,10 +511,6 @@ impl MultiSim {
 
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
-    }
-
-    pub fn protocol(&self) -> &'static dyn CoherenceProtocol {
-        self.protocol
     }
 
     pub fn stats(&self) -> &SimStats {
@@ -616,8 +538,9 @@ impl MultiSim {
 
     /// Directory presence bitmask for `block`: bit `p` set iff processor
     /// `p` holds a valid copy. Maintained exactly (evictions and
-    /// invalidations both clear bits), so under the [`Directory`]
-    /// protocol this *is* the home node's presence vector.
+    /// invalidations both clear bits), so under the
+    /// [`ProtocolKind::Directory`] protocol this *is* the home node's
+    /// presence vector.
     pub fn sharers_of(&self, block: u32) -> u64 {
         self.sharers[block as usize]
     }
@@ -643,7 +566,7 @@ impl MultiSim {
 
     /// Home-directory state of `block`, derived from the owner and the
     /// presence bitmask (meaningful under every protocol; authoritative
-    /// under [`Directory`]).
+    /// under [`ProtocolKind::Directory`]).
     pub fn dir_state(&self, block: u32) -> DirState {
         let b = block as usize;
         if self.owner[b] != NO_OWNER {
@@ -737,7 +660,7 @@ impl MultiSim {
                         self.owner[bs] = pid;
                         self.stats.upgrades += 1;
                         self.per_block_events[bs][CoherenceEvent::Upgrade as usize] += 1;
-                        if self.track_dir {
+                        if self.cfg.protocol.uses_home_directory() {
                             self.stats.dir_txns += 1;
                         }
                         Outcome {
@@ -756,7 +679,7 @@ impl MultiSim {
                 let kind = self.classify(p, bs, word);
                 self.stats.misses[kind as usize] += 1;
                 self.per_block_misses[bs][kind as usize] += 1;
-                if self.track_dir {
+                if self.cfg.protocol.uses_home_directory() {
                     self.stats.dir_txns += 1;
                 }
                 let supplier = {
@@ -789,7 +712,7 @@ impl MultiSim {
                     // both clear them), and the missing processor's own
                     // bit is never set here.
                     let other_copies = self.sharers[bs] != 0;
-                    let fill = self.protocol.read_fill_state(other_copies);
+                    let fill = self.cfg.protocol.read_fill_state(other_copies);
                     self.owner[bs] = if fill == LineState::Exclusive {
                         pid
                     } else {
@@ -815,7 +738,7 @@ impl MultiSim {
 
     fn classify(&self, p: usize, bs: usize, word: usize) -> MissKind {
         let c = &self.caches[p];
-        self.protocol.classify_miss(
+        classify_miss(
             c.lost_reason[bs],
             c.lost_time[bs],
             self.word_write_time[word],

@@ -166,7 +166,7 @@ proptest! {
         }
         for s in &sims {
             let st = s.stats();
-            match s.protocol().kind() {
+            match s.config().protocol {
                 ProtocolKind::Directory => prop_assert_eq!(
                     st.dir_txns,
                     st.total_misses() + st.upgrades,

@@ -9,11 +9,11 @@ use fsr_core::driver::{Job, PlanSourceSpec};
 use fsr_core::{InterconnectKind, PipelineConfig, ProtocolKind, World};
 use fsr_serve::json::Value;
 use fsr_serve::proto::run_result_json;
-use fsr_serve::{serve_tcp_on, Server};
+use fsr_serve::{serve_tcp_on, Flow, Output, Server};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const NPROC: i64 = 4;
 const SCALE: i64 = 1;
@@ -240,4 +240,48 @@ fn plan_answers_the_plan_a_compiler_simulate_runs() {
     }
     client.rpc(r#"{"id": 9, "method": "shutdown"}"#);
     daemon.join().expect("daemon exits");
+}
+
+/// An [`Output`] destination the test reads back.
+#[derive(Clone, Default)]
+struct Captured(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Captured {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A hostile line nested far deeper than any protocol message is
+/// answered with an error response, and the server keeps serving.
+#[test]
+fn deeply_nested_request_is_answered_with_an_error() {
+    let server = Server::new();
+    let buf = Captured::default();
+    let out = Output::new(buf.clone());
+    assert_eq!(server.handle(&"[".repeat(100_000), &out), Flow::Continue);
+    assert_eq!(
+        server.handle(r#"{"id": 1, "method": "stats"}"#, &out),
+        Flow::Continue
+    );
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).expect("utf-8 output");
+    let lines: Vec<Value> = text
+        .lines()
+        .map(|l| fsr_serve::json::parse(l).expect("one JSON response per line"))
+        .collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    assert_eq!(lines[0].get("id"), Some(&Value::Null));
+    let msg = lines[0]
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str)
+        .expect("error message");
+    assert!(msg.contains("nesting deeper than"), "{msg}");
+    assert_eq!(lines[1].get("id"), Some(&Value::Int(1)));
+    assert!(lines[1].get("result").is_some(), "{text}");
 }
