@@ -17,6 +17,7 @@ use fsr_core::driver::run_jobs;
 use fsr_core::experiments::{
     figure3, figure3_jobs, figure3_rows, headline_from_rows, table2, table2_jobs, table2_rows,
 };
+use fsr_core::World;
 use std::time::Instant;
 
 const FIG3_BLOCKS: [u32; 2] = [16, 128];
@@ -44,7 +45,8 @@ fn main() {
         figure3_jobs(k.nproc, k.scale, &FIG3_BLOCKS),
         k.threads,
     ));
-    let t2_jobs = table2_jobs(k.nproc, k.scale, &TABLE2_BLOCKS).expect("table2 jobs");
+    let snap = World::transient().snapshot();
+    let t2_jobs = table2_jobs(&snap, k.nproc, k.scale, &TABLE2_BLOCKS).expect("table2 jobs");
     let ref_table2 = table2_rows(&TABLE2_BLOCKS, run_jobs(t2_jobs, k.threads));
     // Pre-batching headline: re-runs its own Figure 3 column.
     let ref_headline = headline_from_rows(

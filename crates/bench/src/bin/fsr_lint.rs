@@ -1,7 +1,11 @@
 //! Static race & synchronization lint over the PSL workloads.
 //!
-//! Every lint verdict is `fsr-core`'s cached race-lint summary
-//! (`Snapshot::lint`, the one `fsr-serve` answers `lint` with). Modes:
+//! Every mode reads one `fsr-core` `World`: lint verdicts are its
+//! cached race-lint summaries (`Snapshot::lint`, the one `fsr-serve`
+//! answers `lint` with), front ends and analyses come from its
+//! front-end cache, and the dynamic checks use its recorded reference
+//! traces of the unoptimized layout (`Snapshot::record_trace`). No mode
+//! compiles, lays out or interprets a program on its own. Modes:
 //! - (default) human-readable report over the ten workloads;
 //! - `--json` stable machine report (diffed against the checked-in
 //!   golden by `scripts/tier1.sh`);
@@ -9,28 +13,27 @@
 //!   reference trace supplies conflict witnesses that upgrade
 //!   statically-unprovable suppressed pairs (`Snapshot::lint_refined` —
 //!   the analysis-as-a-service loop);
-//! - `--advise` static false-sharing advisor (`FSR-W004`) validated
-//!   against the simulator's per-object miss taxonomy under the
-//!   unoptimized layout (exit 1 when an object with false-sharing
-//!   misses is unflagged, or a flagged object lives in a block with no
-//!   false sharing at all);
-//! - `--mutants` checks the seeded-race suite's static verdicts against
-//!   each mutant's expected diagnostic codes (exit 1 on mismatch);
-//! - `--validate` replays every workload and mutant in the interpreter
+//! - `--advise` static false-sharing advisor (`FSR-W004`), computed once
+//!   per workload from the World's front end, analysis and unoptimized
+//!   layout, validated against the simulator's per-object miss taxonomy
+//!   of that layout's recorded trace (exit 1 when an object with
+//!   false-sharing misses is unflagged, or a flagged object lives in a
+//!   block with no false sharing at all);
+//! - `--validate` replays every workload's and mutant's recorded trace
 //!   under the happens-before trace checker and scores the static lint
 //!   against the dynamic ground truth (precision/recall JSON; exit 1 on
-//!   a workload false positive, a mutant verdict mismatch, an
-//!   unconfirmed seeded race, a dirty control, or totals below the
-//!   precision = 1.0 / recall ≥ 0.85 floor).
+//!   a workload false positive, a mutant whose static codes differ from
+//!   its expected ones, an unconfirmed seeded race, a dirty control, or
+//!   totals below the precision = 1.0 / recall ≥ 0.85 floor).
 //!
 //! Both dimensions are fixed at `NPROC=4, SCALE=1` so reports are
 //! byte-stable.
 
 use fsr_bench::json_str;
-use fsr_core::world::FrontEnd;
-use fsr_core::{LintSummary, Snapshot, World};
+use fsr_core::driver::Job;
+use fsr_core::{LintSummary, PipelineConfig, PlanSourceSpec, RecordedTrace, Snapshot, World};
 use fsr_interp::HbChecker;
-use fsr_lang::ast::{ObjectKind, Program};
+use fsr_lang::ast::ObjectKind;
 use fsr_workloads as workloads;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -42,11 +45,6 @@ const SCALE: i64 = 1;
 fn json_list(items: &BTreeSet<String>) -> String {
     let inner: Vec<String> = items.iter().map(|s| json_str(s)).collect();
     format!("[{}]", inner.join(", "))
-}
-
-fn compile(name: &str, source: &str) -> Program {
-    fsr_lang::compile_with_params(source, &[("NPROC", NPROC), ("SCALE", SCALE)])
-        .unwrap_or_else(|e| panic!("{name}: {}", e.render(source)))
 }
 
 fn params() -> Vec<(String, i64)> {
@@ -71,40 +69,40 @@ fn racy_of(summary: &LintSummary) -> BTreeSet<String> {
     summary.racy.iter().cloned().collect()
 }
 
-/// Dynamic ground truth for one program: shared-data objects with at
-/// least one happens-before race in the interpreter trace. Lock words
-/// and private data are filtered out via layout attribution.
-fn replay(name: &str, fe: &FrontEnd) -> BTreeSet<String> {
-    let plan = fsr_transform::LayoutPlan::unoptimized(64);
-    let layout = fsr_layout::Layout::build(&fe.prog, &plan, NPROC as u32);
-    let mut checker = HbChecker::new(NPROC as usize);
-    fsr_interp::run(
-        &fe.prog,
-        &layout,
-        &fe.code,
-        fsr_interp::RunConfig::default(),
-        &mut checker,
+/// The World's recorded reference trace of one program under the
+/// unoptimized layout at the default config.
+fn unoptimized_trace(snap: &Snapshot, name: &str, src: &Arc<str>) -> Arc<RecordedTrace> {
+    snap.record_trace(
+        src,
+        &params(),
+        &PlanSourceSpec::Unoptimized,
+        &PipelineConfig::default(),
     )
-    .unwrap_or_else(|e| panic!("{name}: run: {e}"));
+    .unwrap_or_else(|e| panic!("{name}: run: {e}"))
+}
+
+/// One program's lint summary and its dynamic ground truth: the
+/// shared-data objects with at least one happens-before race in its
+/// recorded trace. Lock words and private data are filtered out via
+/// layout attribution.
+fn judge(snap: &Snapshot, name: &str, source: &str) -> (Arc<LintSummary>, BTreeSet<String>) {
+    let summary = lint(snap, name, source, false);
+    let src: Arc<str> = Arc::from(source);
+    let fe = snap
+        .front_end(&src, &params())
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let rec = unoptimized_trace(snap, name, &src);
+    let mut checker = HbChecker::new(NPROC as usize);
+    rec.trace.replay(&mut checker);
     let mut racy = BTreeSet::new();
     for &word in checker.racy_words() {
-        if let Some(oid) = layout.attribute(word) {
+        if let Some(oid) = rec.layout.attribute(word) {
             if fe.prog.object(oid).kind == ObjectKind::SharedData {
                 racy.insert(fe.prog.object(oid).name.clone());
             }
         }
     }
-    racy
-}
-
-/// One program's lint summary and its dynamic ground truth
-/// ([`replay`]), from one cached front end.
-fn judge(snap: &Snapshot, name: &str, source: &str) -> (Arc<LintSummary>, BTreeSet<String>) {
-    let summary = lint(snap, name, source, false);
-    let fe = snap
-        .front_end(&Arc::from(source), &params())
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    (summary, replay(name, &fe))
+    (summary, racy)
 }
 
 /// `(object label, reason)` pairs as a JSON list, sorted by label (the
@@ -223,23 +221,31 @@ fn report_json(refined: bool) {
 /// flagged (completeness, per object); every flagged object must share
 /// an unoptimized block with measured false sharing (soundness, per
 /// block — within a block, miss attribution is interleaving noise).
+/// The simulation replays the trace whose layout the advisor read, so
+/// each workload is compiled, analyzed and interpreted once.
 fn advise() -> i32 {
     use fsr_lang::ast::ObjId;
+    let snap = World::new().snapshot();
     let mut fail = false;
     let mut out = String::new();
     out.push_str(&format!(
         "{{\n  \"nproc\": {NPROC},\n  \"scale\": {SCALE},\n  \"workloads\": [\n"
     ));
-    let cfg = fsr_core::PipelineConfig::default();
+    let cfg = PipelineConfig::default();
     let plan_cfg = fsr_transform::PlanConfig::with_block(cfg.block_bytes);
     let ws = workloads::all();
     for (i, w) in ws.iter().enumerate() {
-        let prog = compile(w.name, w.source);
-        let analysis =
-            fsr_analysis::analyze(&prog).unwrap_or_else(|e| panic!("{}: analysis: {e}", w.name));
-        let plan = fsr_transform::LayoutPlan::unoptimized(cfg.block_bytes);
-        let layout = fsr_layout::Layout::build(&prog, &plan, NPROC as u32);
-        let regions: Vec<(ObjId, u32, u32)> = layout
+        let src: Arc<str> = Arc::from(w.source);
+        let fe = snap
+            .front_end(&src, &params())
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let prog = &fe.prog;
+        let analysis = fe
+            .analysis()
+            .unwrap_or_else(|e| panic!("{}: analysis: {e}", w.name));
+        let trace = unoptimized_trace(&snap, w.name, &src);
+        let regions: Vec<(ObjId, u32, u32)> = trace
+            .layout
             .regions()
             .iter()
             .map(|r| {
@@ -250,15 +256,21 @@ fn advise() -> i32 {
                 )
             })
             .collect();
-        let advice = fsr_transform::advise(&prog, &analysis, &plan_cfg, &regions);
-        let diags = fsr_transform::advise_diagnostics(&prog, &analysis, &plan_cfg, &regions);
-        let res = fsr_core::run_pipeline(
-            w.source,
-            &[("NPROC", NPROC), ("SCALE", SCALE)],
-            fsr_core::PlanSourceSpec::Unoptimized,
-            &cfg,
-        )
-        .unwrap_or_else(|e| panic!("{}: pipeline: {e:?}", w.name));
+        let advice = fsr_transform::advise(prog, &analysis, &plan_cfg, &regions);
+        let diags = fsr_transform::advise_diagnostics(prog, &advice);
+        let job = Job {
+            meta: (),
+            src: src.clone(),
+            params: params(),
+            plan: PlanSourceSpec::Unoptimized,
+            cfg: cfg.clone(),
+        };
+        let res = snap
+            .run_batch_with_stats(vec![job], 1)
+            .0
+            .remove(0)
+            .1
+            .unwrap_or_else(|e| panic!("{}: pipeline: {e:?}", w.name));
         let fs_of = |name: &str| {
             res.per_obj
                 .get(name)
@@ -332,29 +344,6 @@ fn advise() -> i32 {
     out.push_str("  ]\n}");
     println!("{out}");
     i32::from(fail)
-}
-
-fn mutants() -> i32 {
-    let snap = World::new().snapshot();
-    let mut failed = 0;
-    for m in workloads::mutants::all() {
-        let got = static_codes(&lint(&snap, m.name, m.source, false));
-        if got == m.expected {
-            println!("PASS {:<28} {:?}", m.name, got);
-        } else {
-            println!(
-                "FAIL {:<28} expected {:?}, got {:?}",
-                m.name, m.expected, got
-            );
-            failed += 1;
-        }
-    }
-    if failed > 0 {
-        eprintln!("{failed} mutant verdict(s) wrong");
-        1
-    } else {
-        0
-    }
 }
 
 fn validate() -> i32 {
@@ -482,12 +471,9 @@ fn main() {
             0
         }
         Some("--advise") => advise(),
-        Some("--mutants") => mutants(),
         Some("--validate") => validate(),
         Some(other) => {
-            eprintln!(
-                "unknown mode {other}; use --json, --refine, --advise, --mutants or --validate"
-            );
+            eprintln!("unknown mode {other}; use --json, --refine, --advise or --validate");
             2
         }
     };

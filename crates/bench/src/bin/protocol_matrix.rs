@@ -1,12 +1,11 @@
 //! Cross-backend coherence matrix: every workload × version ×
 //! protocol × interconnect, with per-object coherence-event counters.
 //!
-//! Runs the [`fsr_core::experiments::protocol_matrix_cells`] sweep one
-//! (protocol, interconnect) backend pair at a time — each pair is one
-//! `run_batch` call whose wall-clock is measured, so the output carries
-//! a per-cell timing row per backend pair — prints a summary table, and
-//! writes the full matrix as structured JSON to
-//! `BENCH_protocol_matrix.json` (override the path with
+//! Runs the [`fsr_core::experiments::protocol_matrix_cells`] sweep over
+//! every protocol × interconnect pair as one `run_batch` call (so each
+//! program version is interpreted once for all nine backend pairs),
+//! prints a summary table, and writes the full matrix as structured
+//! JSON to `BENCH_protocol_matrix.json` (override the path with
 //! `FSR_BENCH_OUT`).
 //!
 //! Knobs: `FSR_NPROC`, `FSR_SCALE`, `FSR_THREADS` as usual, plus
@@ -14,10 +13,9 @@
 //! `raytrace,pverify,maxflow,topopt`; an unknown name exits 2).
 
 use fsr_bench::{json_str, Knobs, Table};
-use fsr_core::experiments::{protocol_matrix_cells, MatrixCell, Vsn};
+use fsr_core::experiments::{protocol_matrix_cells, MatrixCell};
 use fsr_core::{CoherenceEvent, InterconnectKind, MissKind, ProtocolKind};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 const BLOCK: u32 = 128;
 const DEFAULT_WORKLOADS: [&str; 4] = ["raytrace", "pverify", "maxflow", "topopt"];
@@ -89,28 +87,7 @@ fn main() {
         k.nproc, k.scale, BLOCK
     );
 
-    // One batch per (protocol, interconnect) backend pair so every
-    // pair's wall-clock is measured on its own — the per-cell timing
-    // axis of the matrix.
-    let mut cells: Vec<MatrixCell> = Vec::new();
-    let mut pair_walls: Vec<(ProtocolKind, InterconnectKind, f64)> = Vec::new();
-    for protocol in ProtocolKind::ALL {
-        for ic in InterconnectKind::ALL {
-            let start = Instant::now();
-            let pair_cells = protocol_matrix_cells(
-                &set,
-                &[Vsn::N, Vsn::C],
-                k.nproc,
-                k.scale,
-                BLOCK,
-                k.threads,
-                &[protocol],
-                &[ic],
-            );
-            pair_walls.push((protocol, ic, start.elapsed().as_secs_f64()));
-            cells.extend(pair_cells);
-        }
-    }
+    let cells = protocol_matrix_cells(&set, k.nproc, k.scale, BLOCK, k.threads);
     assert!(!cells.is_empty(), "no cells for {names:?}");
 
     let mut t = Table::new(&[
@@ -132,16 +109,6 @@ fn main() {
     }
     println!("{}", t.render());
 
-    let mut pt = Table::new(&["protocol", "net", "wall_ms"]);
-    for (p, ic, wall) in &pair_walls {
-        pt.row(vec![
-            p.name().to_string(),
-            ic.name().to_string(),
-            format!("{:.1}", wall * 1e3),
-        ]);
-    }
-    println!("{}", pt.render());
-
     let protos: Vec<String> = ProtocolKind::ALL
         .iter()
         .map(|p| json_str(p.name()))
@@ -151,22 +118,11 @@ fn main() {
         .map(|i| json_str(i.name()))
         .collect();
     let progs: Vec<String> = names.iter().map(|n| json_str(n)).collect();
-    let pairs: Vec<String> = pair_walls
-        .iter()
-        .map(|(p, ic, wall)| {
-            format!(
-                "    {{\"protocol\": {}, \"interconnect\": {}, \"wall_ms\": {:.3}}}",
-                json_str(p.name()),
-                json_str(ic.name()),
-                wall * 1e3
-            )
-        })
-        .collect();
     let body: Vec<String> = cells.iter().map(cell_json).collect();
     let json = format!(
         "{{\n  \"suite\": \"protocol_matrix\",\n  \"nproc\": {},\n  \"scale\": {},\n  \
          \"block\": {},\n  \"protocols\": [{}],\n  \
-         \"interconnects\": [{}],\n  \"workloads\": [{}],\n  \"pair_timings\": [\n{}\n  ],\n  \
+         \"interconnects\": [{}],\n  \"workloads\": [{}],\n  \
          \"cells\": [\n{}\n  ]\n}}\n",
         k.nproc,
         k.scale,
@@ -174,7 +130,6 @@ fn main() {
         protos.join(", "),
         nets.join(", "),
         progs.join(", "),
-        pairs.join(",\n"),
         body.join(",\n")
     );
     let out =

@@ -29,9 +29,9 @@
 //! [`TeeSink`] fans the interpreter's event stream out to every member
 //! job's simulator and timing model on the unit's own thread.
 
-use crate::world::{CachedTrace, Caches, FeKey, FrontEnd, RunCounters, World};
+use crate::world::{Caches, FeKey, FrontEnd, ResultKey, RunCounters, World};
 use crate::{PipelineConfig, PipelineError, RunResult};
-use fsr_interp::{MemRef, RecordedTrace, RunStats, TeeSink, TraceSink};
+use fsr_interp::{MemRef, TeeSink, TraceSink};
 use fsr_lang::ast::WORD_BYTES;
 use fsr_layout::Layout;
 use fsr_machine::TimingModel;
@@ -366,24 +366,16 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
     // Phase R — whole-result probe (persistent worlds only): a job
     // identical to one served before (same source content, params, plan
     // spec and full config) is answered from the result cache without
-    // entering the engine at all.
-    let mut rkeys: Vec<Option<ResultKey>> = (0..n).map(|_| None).collect();
-    if caches.cache_results {
-        for (j, job) in jobs.iter().enumerate() {
-            let key: ResultKey = (
-                (job.src.clone(), job.params.clone()),
-                format!("{:?}", job.plan),
-                format!("{:?}", job.cfg),
-            );
-            match caches.result_get(&key) {
-                Some(r) => {
-                    stats.result_hits += 1;
-                    let r = Ok((*r).clone());
-                    notify_one(j, &r);
-                    slots[j] = Some(r);
-                }
-                None => rkeys[j] = Some(key),
-            }
+    // entering the engine at all. A missed job keeps its key, so its
+    // fresh result can be stored at the end.
+    let mut rkeys: Vec<Option<ResultKey>> = jobs.iter().map(|job| caches.result_key(job)).collect();
+    for (j, key) in rkeys.iter_mut().enumerate() {
+        if let Some(r) = key.as_ref().and_then(|k| caches.result_get(k)) {
+            *key = None;
+            stats.result_hits += 1;
+            let r = Ok((*r).clone());
+            notify_one(j, &r);
+            slots[j] = Some(r);
         }
     }
 
@@ -557,11 +549,9 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
 
     // Feed fresh successes back into the result cache (persistent
     // worlds only), so the next identical job takes phase R.
-    if caches.cache_results {
-        for (j, key) in rkeys.iter_mut().enumerate() {
-            if let (Some(key), Some(Ok(r))) = (key.take(), &slots[j]) {
-                caches.result_put(key, Arc::new(r.clone()));
-            }
+    for (key, slot) in rkeys.into_iter().zip(&slots) {
+        if let (Some(key), Some(Ok(r))) = (key, slot) {
+            caches.result_put(key, Arc::new(r.clone()));
         }
     }
 
@@ -571,11 +561,6 @@ pub(crate) fn run_batch_in<M: Sync + fmt::Debug>(
         .collect();
     (results, stats)
 }
-
-/// Result-cache key: front-end key plus the `Debug` renderings of the
-/// plan spec and the full pipeline config (exhaustive over every knob,
-/// so equal keys mean identical jobs).
-type ResultKey = (FeKey, String, String);
 
 /// Identify a layout in diagnostics.
 fn layout_desc(lay: &Layout) -> String {
@@ -599,40 +584,11 @@ fn translate(map: Option<&Vec<u32>>, addr: u32) -> u32 {
     }
 }
 
-/// Tee that captures the interpreter's event stream for the trace cache
-/// while forwarding it unchanged to the real consumer.
-struct RecordingSink<'a> {
-    trace: &'a mut RecordedTrace,
-    inner: &'a mut dyn TraceSink,
-}
-
-impl TraceSink for RecordingSink<'_> {
-    fn access(&mut self, r: MemRef) {
-        self.trace.access(r);
-        self.inner.access(r);
-    }
-
-    fn sync(&mut self, pids: &[u32]) {
-        self.trace.sync(pids);
-        self.inner.sync(pids);
-    }
-
-    fn handoff(&mut self, from: u32, to: u32) {
-        self.trace.handoff(from, to);
-        self.inner.handoff(from, to);
-    }
-
-    fn steal(&mut self, thief: u32, victim: u32) {
-        self.trace.steal(thief, victim);
-        self.inner.steal(thief, victim);
-    }
-}
-
-/// Interpret a unit's shared trace once (or replay a cached recording),
-/// driving every member job's cache simulator and timing model through
-/// a [`TeeSink`] of per-group translating [`GroupSink`]s. When the
-/// world's trace cache wants this unit's stream, the interpreter's
-/// events are captured on the way through and stored.
+/// Drive every member job's cache simulator and timing model with a
+/// unit's shared trace through a [`TeeSink`] of per-group translating
+/// [`GroupSink`]s. The world decides where the trace comes from
+/// ([`Caches::drive`]): one interpretation on a transient world, a
+/// recording (made now or earlier) on a persistent one.
 fn run_unit<M>(
     jobs: &[Job<M>],
     fronts: &[Result<Arc<FrontEnd>, PipelineError>],
@@ -673,29 +629,6 @@ fn run_unit<M>(
         }
     }
 
-    // Trace cache (persistent worlds): this unit's reference trace is
-    // keyed by (source content, params, run config, driving-layout
-    // fingerprint); a hit — confirmed exact with `trace_eq` — replays
-    // the recording instead of re-running the interpreter. The trace
-    // never depends on the protocol or interconnect, so one recording
-    // serves every backend combination, exactly like
-    // [`crate::record_trace`].
-    let tkey = (
-        (jobs[rep].src.clone(), jobs[rep].params.clone()),
-        jobs[rep].cfg.run,
-        prep_of(preps, rep).fingerprint,
-    );
-    let cached = if caches.cache_traces {
-        caches.trace_get(&tkey, rep_layout)
-    } else {
-        None
-    };
-    let record = cached.is_none() && caches.cache_traces;
-    match cached {
-        Some(_) => rc.trace_hits.fetch_add(1, Ordering::Relaxed),
-        None => rc.interpretations.fetch_add(1, Ordering::Relaxed),
-    };
-
     let members: Vec<&Vec<usize>> = live.iter().map(|(g, _)| *g).collect();
     let group_sinks: Vec<GroupSink> = live
         .into_iter()
@@ -714,24 +647,7 @@ fn run_unit<M>(
         })
         .collect();
     let mut tee = TeeSink::new(group_sinks);
-    let mut recorded = RecordedTrace::default();
-
-    let run_out: Result<RunStats, fsr_interp::RuntimeError> = match &cached {
-        Some(ct) => {
-            ct.trace.replay(&mut tee);
-            Ok(ct.interp.clone())
-        }
-        None if record => {
-            let mut rec = RecordingSink {
-                trace: &mut recorded,
-                inner: &mut tee,
-            };
-            fsr_interp::run(&fe.prog, rep_layout, &fe.code, jobs[rep].cfg.run, &mut rec)
-                .map(|fin| fin.stats)
-        }
-        None => fsr_interp::run(&fe.prog, rep_layout, &fe.code, jobs[rep].cfg.run, &mut tee)
-            .map(|fin| fin.stats),
-    };
+    let run_out = caches.drive(fe, rep_layout, jobs[rep].cfg.run, &mut tee, rc);
 
     let mut out: Vec<(usize, Result<RunResult, PipelineError>)> = match run_out {
         Err(e) => members
@@ -739,40 +655,26 @@ fn run_unit<M>(
             .flat_map(|g| g.iter())
             .map(|&j| (j, Err(PipelineError::Runtime(e.clone()))))
             .collect(),
-        Ok(stats) => {
-            let out = tee
-                .into_inner()
-                .into_iter()
-                .zip(members)
-                .flat_map(|(gs, group)| {
-                    gs.sinks
-                        .into_iter()
-                        .zip(group)
-                        .map(|(sink, &j)| {
-                            let prep = prep_of(preps, j);
-                            let r =
-                                sink.into_result(nproc, prep.plan.clone(), stats.clone(), |addr| {
-                                    prep.layout
-                                        .attribute(addr)
-                                        .map(|oid| fe.prog.object(oid).name.clone())
-                                });
-                            (j, Ok(r))
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            if record {
-                caches.trace_put(
-                    tkey,
-                    Arc::new(CachedTrace {
-                        trace: recorded,
-                        interp: stats,
-                        layout: rep_layout.clone(),
-                    }),
-                );
-            }
-            out
-        }
+        Ok(stats) => tee
+            .into_inner()
+            .into_iter()
+            .zip(members)
+            .flat_map(|(gs, group)| {
+                gs.sinks
+                    .into_iter()
+                    .zip(group)
+                    .map(|(sink, &j)| {
+                        let prep = prep_of(preps, j);
+                        let r = sink.into_result(nproc, prep.plan.clone(), stats.clone(), |addr| {
+                            prep.layout
+                                .attribute(addr)
+                                .map(|oid| fe.prog.object(oid).name.clone())
+                        });
+                        (j, Ok(r))
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect(),
     };
     out.append(&mut failed);
     out

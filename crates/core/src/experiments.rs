@@ -22,10 +22,9 @@
 //! [`run_jobs`](crate::driver::run_jobs).
 
 use crate::driver::{run_batch, Job, JobResults, PlanSourceSpec};
-use crate::world::FrontEnd;
 use crate::{
     run_pipeline, InterconnectKind, MissKind, ObjCoherence, PipelineConfig, PipelineError,
-    ProtocolKind, SimStats,
+    ProtocolKind, SimStats, Snapshot, World,
 };
 use fsr_machine::SpeedupCurve;
 use fsr_transform::ObjPlan;
@@ -216,23 +215,31 @@ pub struct T2Meta {
 /// Table 2: averaged over the given block sizes (paper: 8–256 bytes),
 /// on the paper's MSI + ring substrate.
 ///
-/// All (program, block, cell) samples run as one batch; baselines whose
-/// layout does not depend on the block size collapse into a single
-/// interpretation.
+/// All (program, block, cell) samples run as one batch on the transient
+/// world whose front ends built the ablation plans, so each program is
+/// compiled and analyzed once; baselines whose layout does not depend
+/// on the block size collapse into a single interpretation.
 pub fn table2(
     nproc: i64,
     scale: i64,
     blocks: &[u32],
     threads: usize,
 ) -> Result<Vec<Table2Row>, PipelineError> {
-    let jobs = table2_jobs(nproc, scale, blocks)?;
-    Ok(table2_rows(blocks, run_batch(jobs, threads)))
+    let snap = World::transient().snapshot();
+    let jobs = table2_jobs(&snap, nproc, scale, blocks)?;
+    Ok(table2_rows(
+        blocks,
+        snap.run_batch_with_stats(jobs, threads).0,
+    ))
 }
 
 /// The jobs behind [`table2`]: per (program, block), the unoptimized
 /// baseline, the full compiler plan and its four one-class ablations.
-/// Fails if a program does not compile or analyze.
+/// The plans come from `snap`'s front ends, which a batch on the same
+/// snapshot then reuses. Fails if a program does not compile or
+/// analyze.
 pub fn table2_jobs(
+    snap: &Snapshot,
     nproc: i64,
     scale: i64,
     blocks: &[u32],
@@ -242,7 +249,7 @@ pub fn table2_jobs(
     let mut jobs: Vec<Job<T2Meta>> = Vec::new();
     for (wi, w) in set.iter().enumerate() {
         let src: Arc<str> = Arc::from(w.source);
-        let fe = FrontEnd::compile(w.source, &std_params(nproc, scale))?;
+        let fe = snap.front_end(&src, &std_params(nproc, scale))?;
         for &b in blocks {
             let cfg = backend.config(b);
             let full = fe.plan(&PlanSourceSpec::Compiler, &cfg)?;
@@ -545,31 +552,28 @@ struct MxMeta {
     ic: InterconnectKind,
 }
 
-/// Cross-backend sweep: every workload × version × listed coherence
-/// protocol × listed interconnect, one cell each, as a single
-/// [`run_batch`] call.
+/// Cross-backend sweep: every workload × {unopt, compiler} × coherence
+/// protocol × interconnect ([`ProtocolKind::ALL`] ×
+/// [`InterconnectKind::ALL`]), one cell each, as a single [`run_batch`]
+/// call.
 ///
 /// The batch groups by (front end, run config, layout fingerprint) —
 /// protocol and interconnect are simulator/timing state, not trace
 /// state — so all backend variants of one program version share a
 /// single interpretation, exactly like a block-size sweep does.
-#[allow(clippy::too_many_arguments)]
 pub fn protocol_matrix_cells(
     set: &[Workload],
-    versions: &[Vsn],
     nproc: i64,
     scale: i64,
     block: u32,
     threads: usize,
-    protocols: &[ProtocolKind],
-    interconnects: &[InterconnectKind],
 ) -> Vec<MatrixCell> {
     let mut jobs: Vec<Job<MxMeta>> = Vec::new();
     for (wi, w) in set.iter().enumerate() {
         let src: Arc<str> = Arc::from(w.source);
-        for &v in versions {
-            for &protocol in protocols {
-                for &ic in interconnects {
+        for v in [Vsn::N, Vsn::C] {
+            for protocol in ProtocolKind::ALL {
+                for ic in InterconnectKind::ALL {
                     jobs.push(Job {
                         meta: MxMeta {
                             prog_idx: wi,

@@ -27,7 +27,7 @@ pub mod experiments;
 pub mod world;
 
 pub use driver::PlanSourceSpec;
-pub use world::{refine_facts_from, CacheStats, Evicted, LintSummary, Snapshot, World};
+pub use world::{CacheStats, Evicted, LintSummary, RecordedTrace, Snapshot, World};
 
 pub use fsr_analysis::{Analysis, Pattern};
 pub use fsr_interp::{RunConfig, Schedule};
@@ -381,40 +381,6 @@ pub fn run_pipeline(
 ) -> Result<RunResult, PipelineError> {
     let job = driver::Job::new((), src, params, plan, cfg.clone());
     driver::run_batch(vec![job], 1).remove(0).1
-}
-
-/// A reference trace recorded once through the back half of a front
-/// end's pipeline (plan, lay out, interpret). The trace depends on the
-/// program, its parameters, and the layout plan — never on the
-/// coherence protocol or interconnect — so one recording serves every
-/// backend combination.
-pub struct RecordedTrace {
-    pub trace: fsr_interp::RecordedTrace,
-    pub nproc: u32,
-    /// Bytes of simulated address space the layout occupies.
-    pub addr_space_bytes: u32,
-    pub interp: RunStats,
-}
-
-/// Interpret `fe` under the plan `plan` asks for and capture the
-/// reference trace instead of simulating it (the trace-backed lint
-/// refinement's conflict witnesses, and the scalar reference replay of
-/// the equivalence tests).
-pub fn record_trace(
-    fe: &world::FrontEnd,
-    plan: &PlanSourceSpec,
-    cfg: &PipelineConfig,
-) -> Result<RecordedTrace, PipelineError> {
-    let plan = fe.plan(plan, cfg)?;
-    let layout = fsr_layout::Layout::try_build(&fe.prog, &plan, fe.nproc)?;
-    let mut trace = fsr_interp::RecordedTrace::default();
-    let fin = fsr_interp::run(&fe.prog, &layout, &fe.code, cfg.run, &mut trace)?;
-    Ok(RecordedTrace {
-        trace,
-        nproc: fe.nproc,
-        addr_space_bytes: layout.total_words() * 4,
-        interp: fin.stats,
-    })
 }
 
 #[cfg(test)]

@@ -33,10 +33,15 @@
 //! persistent [`World::new`] additionally records traces and caches
 //! results so a long-lived daemon (`fsr-serve`) performs zero new
 //! interpreter passes for repeated work.
+//!
+//! Every cache key is built here, and every reference trace is recorded
+//! here: `Caches::recording` is the one get-or-record path, shared by
+//! the driver's translation units on persistent worlds, the refined lint
+//! and [`Snapshot::record_trace`].
 
 use crate::driver::{self, BatchStats, Job, JobResults, PlanSourceSpec};
 use crate::{LayoutPlan, PipelineConfig, PipelineError, RunResult};
-use fsr_interp::{RecordedTrace, RunConfig, RunStats, TraceEvent};
+use fsr_interp::{RunConfig, RunStats, RuntimeError, TraceEvent, TraceSink};
 use fsr_lang::ast::{ElemTy, FieldId, ObjectKind};
 use fsr_lang::diag::Diagnostics;
 use fsr_layout::Layout;
@@ -59,21 +64,25 @@ pub struct FrontEnd {
     pub prog: Arc<crate::Program>,
     pub code: Arc<fsr_interp::Compiled>,
     pub nproc: u32,
+    /// The (source, params) key this front end was compiled from; the
+    /// trace cache keys recordings by it.
+    key: FeKey,
     analysis: OnceLock<Result<Arc<crate::Analysis>, PipelineError>>,
 }
 
 impl FrontEnd {
-    /// Parse, check and compile `src` with `params` bound: the front half
-    /// of every pipeline run.
-    pub fn compile(src: &str, params: &[(String, i64)]) -> Result<FrontEnd, PipelineError> {
-        let params: Vec<(&str, i64)> = params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let prog = fsr_lang::compile_with_params(src, &params)?;
+    /// Parse, check and compile the key's source with its params bound:
+    /// the front half of every pipeline run.
+    fn compile(key: FeKey) -> Result<FrontEnd, PipelineError> {
+        let params: Vec<(&str, i64)> = key.1.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        let prog = fsr_lang::compile_with_params(&key.0, &params)?;
         let nproc = crate::resolve_nproc(&prog)?;
         let code = fsr_interp::compile_program(&prog)?;
         Ok(FrontEnd {
             prog: Arc::new(prog),
             code: Arc::new(code),
             nproc,
+            key,
             analysis: OnceLock::new(),
         })
     }
@@ -168,16 +177,12 @@ pub struct LintSummary {
 ///
 /// Granularity is per object: a witness on any field of a struct
 /// object marks every `(obj, field)` group of that object.
-pub fn refine_facts_from(
-    prog: &crate::Program,
-    layout: &Layout,
-    events: &[TraceEvent],
-) -> fsr_analysis::RefineFacts {
+fn refine_facts_from(prog: &crate::Program, rec: &RecordedTrace) -> fsr_analysis::RefineFacts {
     let mut conflicted: std::collections::BTreeSet<fsr_lang::ast::ObjId> = Default::default();
     // Per-word (reader, writer) pid masks within the current generation.
     let mut readers: HashMap<u32, u64> = HashMap::new();
     let mut writers: HashMap<u32, u64> = HashMap::new();
-    for e in events {
+    for e in &rec.trace.events {
         match e {
             TraceEvent::Sync(_) => {
                 readers.clear();
@@ -199,7 +204,7 @@ pub fn refine_facts_from(
                 }
                 let conflict = (*wr & !bit) != 0 || (r.write && ((*rd | *wr) & !bit) != 0);
                 if conflict {
-                    if let Some(oid) = layout.attribute(r.addr) {
+                    if let Some(oid) = rec.layout.attribute(r.addr) {
                         if prog.object(oid).kind == ObjectKind::SharedData {
                             conflicted.insert(oid);
                         }
@@ -220,21 +225,24 @@ pub fn refine_facts_from(
     facts
 }
 
-/// One cached reference trace: the event stream of a translation unit,
-/// the interpreter statistics of the recording run, and the driving
-/// layout (kept so a fingerprint match is confirmed exactly with
-/// [`Layout::trace_eq`] before the recording is reused).
-pub(crate) struct CachedTrace {
-    pub trace: RecordedTrace,
+/// A recorded reference trace: the event stream, the interpreter
+/// statistics of the recording run, and the layout that drove it (which
+/// attributes the trace's addresses, and confirms a fingerprint match
+/// exactly with [`Layout::trace_eq`] before a recording is reused). The
+/// trace never depends on the protocol, interconnect or cache geometry,
+/// so one recording serves every backend combination.
+pub struct RecordedTrace {
+    pub trace: fsr_interp::RecordedTrace,
     pub interp: RunStats,
     pub layout: Layout,
 }
 
+/// (front-end key, run config, driving-layout fingerprint).
 type TraceKey = (FeKey, RunConfig, u64);
 /// (front-end key, plan spec description, pipeline config description).
 /// The descriptions are the `Debug` renderings — exhaustive over every
 /// knob, so two keys are equal iff the jobs are identical.
-type ResultKey = (FeKey, String, String);
+pub(crate) type ResultKey = (FeKey, String, String);
 
 /// Per-run tallies the driver folds into its [`BatchStats`].
 #[derive(Default)]
@@ -266,16 +274,16 @@ impl HitMiss {
 /// the same key race benignly (first insert wins, keeping `Arc`s
 /// pointer-stable for everyone).
 pub(crate) struct Caches {
-    /// Cache whole pipeline results per (source, params, plan, config).
-    pub cache_results: bool,
-    /// Record and replay per-unit reference traces.
-    pub cache_traces: bool,
+    /// Keep recorded traces and whole pipeline results (a persistent
+    /// world). A transient world keeps only front ends and lint
+    /// summaries.
+    persist: bool,
     fronts: Mutex<HashMap<FeKey, Result<Arc<FrontEnd>, PipelineError>>>,
     /// Keyed by (content, refined?): a refined summary folds dynamic
     /// trace facts into the verdicts, so it must never be served for a
     /// plain request (or vice versa).
     lints: Mutex<HashMap<(FeKey, bool), Arc<LintSummary>>>,
-    traces: Mutex<HashMap<TraceKey, Arc<CachedTrace>>>,
+    traces: Mutex<HashMap<TraceKey, Arc<RecordedTrace>>>,
     results: Mutex<HashMap<ResultKey, Arc<RunResult>>>,
     fe_ctr: HitMiss,
     lint_ctr: HitMiss,
@@ -286,8 +294,7 @@ pub(crate) struct Caches {
 impl Caches {
     fn new(persist: bool) -> Caches {
         Caches {
-            cache_results: persist,
-            cache_traces: persist,
+            persist,
             fronts: Mutex::new(HashMap::new()),
             lints: Mutex::new(HashMap::new()),
             traces: Mutex::new(HashMap::new()),
@@ -320,7 +327,7 @@ impl Caches {
             None => {
                 rc.fe_fresh.fetch_add(1, Ordering::Relaxed);
                 self.fe_ctr.miss();
-                let fresh = FrontEnd::compile(src, params).map(Arc::new);
+                let fresh = FrontEnd::compile(key.clone()).map(Arc::new);
                 self.fronts
                     .lock()
                     .unwrap()
@@ -339,9 +346,10 @@ impl Caches {
 
     /// Race-lint summary for (src, params), computed at most once per
     /// (content, refined?). Returns the summary and whether it was
-    /// served warm. With `refine`, a reference trace is recorded (or
-    /// reused from the trace cache) under the unoptimized layout and
-    /// its conflict witnesses upgrade statically-unprovable pairs (see
+    /// served warm. With `refine`, the reference trace of the
+    /// unoptimized layout at the default config (the one an
+    /// unoptimized default-config job replays) supplies conflict
+    /// witnesses that upgrade statically-unprovable pairs (see
     /// [`refine_facts_from`]).
     pub(crate) fn lint(
         &self,
@@ -349,10 +357,8 @@ impl Caches {
         params: &[(String, i64)],
         refine: bool,
     ) -> Result<(Arc<LintSummary>, bool), PipelineError> {
-        let rc = RunCounters::default();
-        let fe = self.front_end(src, params, false, &rc)?;
-        let fe_key: FeKey = (src.clone(), params.to_vec());
-        let key = (fe_key.clone(), refine);
+        let fe = self.front_end(src, params, false, &RunCounters::default())?;
+        let key = (fe.key.clone(), refine);
         if let Some(s) = self.lints.lock().unwrap().get(&key).cloned() {
             self.lint_ctr.hit();
             return Ok((s, true));
@@ -361,25 +367,10 @@ impl Caches {
         let analysis = fe.analysis()?;
         let refine_facts = if refine {
             let cfg = PipelineConfig::default();
-            let spec = PlanSourceSpec::Unoptimized;
-            let layout = Layout::try_build(&fe.prog, &fe.plan(&spec, &cfg)?, fe.nproc)?;
-            let tkey: TraceKey = (fe_key, cfg.run, layout.trace_fingerprint());
-            let ct = match self.trace_get(&tkey, &layout) {
-                Some(ct) => ct,
-                None => {
-                    let rec = crate::record_trace(&fe, &spec, &cfg)?;
-                    let ct = Arc::new(CachedTrace {
-                        trace: rec.trace,
-                        interp: rec.interp,
-                        layout: layout.clone(),
-                    });
-                    if self.cache_traces {
-                        self.trace_put(tkey, ct.clone());
-                    }
-                    ct
-                }
-            };
-            Some(refine_facts_from(&fe.prog, &layout, &ct.trace.events))
+            let plan = fe.plan(&PlanSourceSpec::Unoptimized, &cfg)?;
+            let layout = Layout::try_build(&fe.prog, &plan, fe.nproc)?;
+            let rec = self.recording(&fe, &layout, cfg.run, &RunCounters::default())?;
+            Some(refine_facts_from(&fe.prog, &rec))
         } else {
             None
         };
@@ -416,25 +407,84 @@ impl Caches {
         Ok((s, false))
     }
 
-    /// A cached recording for this unit key, confirmed exact against
-    /// the requesting layout (a fingerprint collision reads as a miss).
-    pub(crate) fn trace_get(&self, key: &TraceKey, layout: &Layout) -> Option<Arc<CachedTrace>> {
+    /// Get or record: the reference trace of `fe` under `layout` and
+    /// `run`. The trace cache is keyed by (source content, params, run
+    /// config, layout fingerprint), and a hit is confirmed exact with
+    /// [`Layout::trace_eq`], so a fingerprint collision reads as a miss.
+    /// A miss interprets into a fresh recording, which a persistent
+    /// world keeps (first insert wins).
+    fn recording(
+        &self,
+        fe: &FrontEnd,
+        layout: &Layout,
+        run: RunConfig,
+        rc: &RunCounters,
+    ) -> Result<Arc<RecordedTrace>, RuntimeError> {
+        let key: TraceKey = (fe.key.clone(), run, layout.trace_fingerprint());
         let hit = self
             .traces
             .lock()
             .unwrap()
-            .get(key)
-            .filter(|ct| ct.layout.trace_eq(layout))
+            .get(&key)
+            .filter(|rec| rec.layout.trace_eq(layout))
             .cloned();
-        match &hit {
-            Some(_) => self.trace_ctr.hit(),
-            None => self.trace_ctr.miss(),
+        if let Some(rec) = hit {
+            self.trace_ctr.hit();
+            rc.trace_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(rec);
         }
-        hit
+        self.trace_ctr.miss();
+        rc.interpretations.fetch_add(1, Ordering::Relaxed);
+        let mut trace = fsr_interp::RecordedTrace::default();
+        let fin = fsr_interp::run(&fe.prog, layout, &fe.code, run, &mut trace)?;
+        let rec = Arc::new(RecordedTrace {
+            trace,
+            interp: fin.stats,
+            layout: layout.clone(),
+        });
+        if self.persist {
+            self.traces
+                .lock()
+                .unwrap()
+                .entry(key)
+                .or_insert_with(|| rec.clone());
+        }
+        Ok(rec)
     }
 
-    pub(crate) fn trace_put(&self, key: TraceKey, trace: Arc<CachedTrace>) {
-        self.traces.lock().unwrap().entry(key).or_insert(trace);
+    /// Drive `sink` with the reference trace of `fe` under `layout` and
+    /// `run`, returning the interpreter statistics. A persistent world
+    /// gets or records the trace ([`Caches::recording`]) and replays it,
+    /// so a later unit with the same key skips the interpreter; a
+    /// transient world, which keeps no traces, interprets straight into
+    /// `sink`.
+    pub(crate) fn drive(
+        &self,
+        fe: &FrontEnd,
+        layout: &Layout,
+        run: RunConfig,
+        sink: &mut dyn TraceSink,
+        rc: &RunCounters,
+    ) -> Result<RunStats, RuntimeError> {
+        if !self.persist {
+            rc.interpretations.fetch_add(1, Ordering::Relaxed);
+            return fsr_interp::run(&fe.prog, layout, &fe.code, run, sink).map(|fin| fin.stats);
+        }
+        let rec = self.recording(fe, layout, run, rc)?;
+        rec.trace.replay(sink);
+        Ok(rec.interp.clone())
+    }
+
+    /// The result-cache key of `job`, or `None` on a transient world,
+    /// which keeps no results.
+    pub(crate) fn result_key<M>(&self, job: &Job<M>) -> Option<ResultKey> {
+        self.persist.then(|| {
+            (
+                (job.src.clone(), job.params.clone()),
+                format!("{:?}", job.plan),
+                format!("{:?}", job.cfg),
+            )
+        })
     }
 
     pub(crate) fn result_get(&self, key: &ResultKey) -> Option<Arc<RunResult>> {
@@ -670,6 +720,23 @@ impl Snapshot {
         params: &[(String, i64)],
     ) -> Result<(Arc<LintSummary>, bool), PipelineError> {
         self.caches.lint(src, params, true)
+    }
+
+    /// The reference trace of this source content under the layout
+    /// `plan` asks for at `cfg`: served from the trace cache when this
+    /// world recorded it before, else interpreted (and kept, on a
+    /// persistent world).
+    pub fn record_trace(
+        &self,
+        src: &Arc<str>,
+        params: &[(String, i64)],
+        plan: &PlanSourceSpec,
+        cfg: &PipelineConfig,
+    ) -> Result<Arc<RecordedTrace>, PipelineError> {
+        let rc = RunCounters::default();
+        let fe = self.caches.front_end(src, params, false, &rc)?;
+        let layout = Layout::try_build(&fe.prog, &fe.plan(plan, cfg)?, fe.nproc)?;
+        Ok(self.caches.recording(&fe, &layout, cfg.run, &rc)?)
     }
 
     /// [`crate::driver::run_batch_with_stats`] on this world's caches:

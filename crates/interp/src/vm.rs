@@ -162,9 +162,9 @@ impl TraceEvent {
 
 /// Sink that records the full event stream for later replay.
 ///
-/// Recording costs memory proportional to the trace, so the batched
-/// driver prefers [`TeeSink`] (replay-free fan-out); `RecordedTrace` is
-/// for cases where consumers cannot all be constructed up front.
+/// Recording costs memory proportional to the trace. `fsr-core`'s
+/// trace cache is the one recorder, on persistent worlds; a transient
+/// world interprets straight into each unit's [`TeeSink`].
 #[derive(Debug, Default, Clone)]
 pub struct RecordedTrace {
     pub events: Vec<TraceEvent>,

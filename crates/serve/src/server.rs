@@ -15,7 +15,7 @@ use crate::proto::{
     self, batch_stats_json, cache_stats_json, error_response, evicted_json, notification,
     pipeline_error_json, response, run_result_json, Request,
 };
-use fsr_core::driver::Job;
+use fsr_core::driver::{effective_threads, Job};
 use fsr_core::{PipelineError, PlanSourceSpec, RunResult, Snapshot, World};
 use std::io::{BufRead, Write};
 use std::sync::Mutex;
@@ -271,16 +271,14 @@ impl Server {
     fn simulate(&self, params: &Value) -> Result<Value, String> {
         let snapshot = self.snapshot();
         let job = Self::job_of(&snapshot, params, ())?;
-        let src = job.src.clone();
-        let job_params = job.params.clone();
         let (mut results, stats) = snapshot.run_batch_with_stats(vec![job], 1);
-        let (_, result) = results.remove(0);
-        let r = result.map_err(|e| pipeline_error_json(&e, &src).to_string())?;
+        let (job, result) = results.remove(0);
+        let r = result.map_err(|e| pipeline_error_json(&e, &job.src).to_string())?;
         // The run succeeded, so the front end is warm in the cache; it
         // supplies object names for the plan rendering.
         let fe = snapshot
-            .front_end(&src, &job_params)
-            .map_err(|e| pipeline_error_json(&e, &src).to_string())?;
+            .front_end(&job.src, &job.params)
+            .map_err(|e| pipeline_error_json(&e, &job.src).to_string())?;
         Ok(Value::Obj(vec![
             ("result".to_string(), run_result_json(&r, &fe.prog)),
             ("stats".to_string(), batch_stats_json(&stats)),
@@ -293,16 +291,23 @@ impl Server {
             .get("jobs")
             .and_then(Value::as_arr)
             .ok_or("`batch` needs a `jobs` array")?;
+        // 0 = auto; an explicit count may not exceed the machine's
+        // parallelism, so a request cannot ask for an OS thread per job.
         let threads = match params.get("threads") {
-            Some(t) => t.as_i64().ok_or("`threads` must be an integer")? as usize,
-            None => 0, // auto
+            Some(t) => {
+                let max = effective_threads(0, usize::MAX);
+                t.as_i64()
+                    .and_then(|t| usize::try_from(t).ok())
+                    .filter(|&t| t <= max)
+                    .ok_or_else(|| format!("`threads` must be an integer in 0..={max}"))?
+            }
+            None => 0,
         };
         let mut jobs = Vec::with_capacity(jobs_val.len());
         for (i, jv) in jobs_val.iter().enumerate() {
             jobs.push(Self::job_of(&snapshot, jv, i).map_err(|e| format!("job {i}: {e}"))?);
         }
         let srcs: Vec<std::sync::Arc<str>> = jobs.iter().map(|j| j.src.clone()).collect();
-        let job_params: Vec<Vec<(String, i64)>> = jobs.iter().map(|j| j.params.clone()).collect();
         // Stream a compact progress line per cell as each resolves;
         // full results follow in the response. Cells may finish out of
         // submission order — `index` identifies them.
@@ -323,12 +328,11 @@ impl Server {
         let (results, stats) = snapshot.run_batch_streaming(jobs, threads, &notify);
         let mut cells = Vec::with_capacity(results.len());
         for (job, result) in results {
-            let i = job.meta;
             match result {
                 Ok(r) => {
                     let fe = snapshot
-                        .front_end(&srcs[i], &job_params[i])
-                        .map_err(|e| pipeline_error_json(&e, &srcs[i]).to_string())?;
+                        .front_end(&job.src, &job.params)
+                        .map_err(|e| pipeline_error_json(&e, &job.src).to_string())?;
                     cells.push(Value::Obj(vec![
                         ("ok".to_string(), Value::Bool(true)),
                         ("result".to_string(), run_result_json(&r, &fe.prog)),
@@ -336,7 +340,7 @@ impl Server {
                 }
                 Err(e) => cells.push(Value::Obj(vec![
                     ("ok".to_string(), Value::Bool(false)),
-                    ("error".to_string(), pipeline_error_json(&e, &srcs[i])),
+                    ("error".to_string(), pipeline_error_json(&e, &job.src)),
                 ])),
             }
         }

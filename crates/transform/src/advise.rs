@@ -189,16 +189,11 @@ pub fn advise(
     out.into_values().collect()
 }
 
-/// Render the advice set as `FSR-W004` diagnostics anchored at the
-/// object declarations.
-pub fn advise_diagnostics(
-    prog: &Program,
-    analysis: &Analysis,
-    cfg: &PlanConfig,
-    regions: &[(ObjId, u32, u32)],
-) -> Diagnostics {
+/// Render an advice set (from [`advise`]) as `FSR-W004` diagnostics
+/// anchored at the object declarations.
+pub fn advise_diagnostics(prog: &Program, advice: &[Advice]) -> Diagnostics {
     let mut ds = Diagnostics::default();
-    for a in advise(prog, analysis, cfg, regions) {
+    for a in advice {
         let obj = prog.object(a.obj);
         ds.push(Diagnostic::warning(
             Code::FalseSharingProne,

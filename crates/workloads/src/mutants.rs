@@ -5,10 +5,9 @@
 //! chunk partition, per-process element lock on a global, missing
 //! phase-separating barrier) and records which diagnostic codes the
 //! static lint must emit for it. The paired controls repair the defect
-//! and must lint clean. `fsr-lint --mutants` checks the static verdicts;
-//! `fsr-lint --validate` additionally replays each mutant in the
-//! interpreter and confirms the seeded races dynamically with the
-//! happens-before checker.
+//! and must lint clean. `fsr-lint --validate` checks the static
+//! verdicts and replays each mutant's recorded trace to confirm the
+//! seeded races dynamically with the happens-before checker.
 
 /// One seeded-race program (or its repaired control).
 #[derive(Debug, Clone, Copy)]

@@ -10,9 +10,10 @@
 
 use fsr_core::driver::{run_batch, Job, PlanSourceSpec};
 use fsr_core::{
-    run_pipeline, InterconnectKind, MissKind, PipelineConfig, PipelineError, ProtocolKind, Schedule,
+    run_pipeline, InterconnectKind, MissKind, PipelineConfig, PipelineError, ProtocolKind,
+    Schedule, World,
 };
-use fsr_interp::{compile_program, MemRef, RecordedTrace, RunConfig, TraceEvent};
+use fsr_interp::{MemRef, TraceEvent};
 use fsr_layout::{Layout, LayoutError, MAX_WORDS};
 use fsr_sim::{CacheConfig, CoherenceEvent, MultiSim};
 use fsr_transform::{LayoutPlan, ObjPlan};
@@ -96,28 +97,23 @@ const SKEWED: &str = "param NPROC = 4; shared int c[NPROC]; shared lock lk;
 fn steal_counters_close_over_the_trace() {
     // The steal counter must agree at every layer: recorded trace
     // events, interpreter stats, and the timing model's applied joins.
-    let prog = fsr_lang::compile(SKEWED).unwrap();
-    let plan = LayoutPlan::unoptimized(64);
-    let layout = Layout::build(&prog, &plan, 4);
-    let code = compile_program(&prog).unwrap();
-    let cfg = RunConfig {
-        schedule: Schedule::WorkSteal { seed: 3 },
-        ..Default::default()
-    };
-    let mut rec = RecordedTrace::default();
-    let fin = fsr_interp::run(&prog, &layout, &code, cfg, &mut rec).unwrap();
+    let mut pcfg = PipelineConfig::with_block(64);
+    pcfg.run.schedule = Schedule::WorkSteal { seed: 3 };
+    let rec = World::transient()
+        .snapshot()
+        .record_trace(&Arc::from(SKEWED), &[], &PlanSourceSpec::Unoptimized, &pcfg)
+        .unwrap();
     let recorded = rec
+        .trace
         .events
         .iter()
         .filter(|e| matches!(e, TraceEvent::Steal { .. }))
         .count() as u64;
     assert!(recorded > 0, "skewed kernel must provoke steals");
-    assert_eq!(fin.stats.steals, recorded, "interp counter vs trace");
+    assert_eq!(rec.interp.steals, recorded, "interp counter vs trace");
 
     // Whole pipeline: the interpreter's count survives to the result
     // and matches the timing model's join count exactly.
-    let mut pcfg = PipelineConfig::with_block(64);
-    pcfg.run.schedule = Schedule::WorkSteal { seed: 3 };
     let r = run_pipeline(SKEWED, &[], PlanSourceSpec::Unoptimized, &pcfg).unwrap();
     assert!(r.interp.steals > 0);
     assert_eq!(r.interp.steals, r.timing.steal_joins, "one join per steal");

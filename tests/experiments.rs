@@ -2,7 +2,10 @@
 //! paper's tables and figures must show the qualitative results the
 //! paper reports.
 
-use fsr_core::experiments::{figure3, headline, speedup_sweep, t1_unoptimized, table2, Vsn};
+use fsr_core::experiments::{
+    figure3, headline, speedup_sweep, t1_unoptimized, table2_jobs, table2_rows, Vsn,
+};
+use fsr_core::World;
 
 #[test]
 fn figure3_shape_fs_dominates_and_is_removed() {
@@ -29,7 +32,15 @@ fn figure3_shape_fs_dominates_and_is_removed() {
 
 #[test]
 fn table2_attribution_matches_paper_dominance() {
-    let rows = table2(8, 1, &[64, 128], 0).unwrap();
+    // Built and run on one snapshot, as `table2` does: the ablation
+    // plans come from the snapshot's front ends, so the batch finds all
+    // six Figure 3 programs compiled and compiles none.
+    let snap = World::transient().snapshot();
+    let jobs = table2_jobs(&snap, 8, 1, &[64, 128]).unwrap();
+    let (results, stats) = snap.run_batch_with_stats(jobs, 0);
+    assert_eq!(stats.front_ends, 0, "{stats:?}");
+    assert_eq!(stats.fe_hits, 6, "{stats:?}");
+    let rows = table2_rows(&[64, 128], results);
     let get = |name: &str| rows.iter().find(|r| r.program == name).unwrap();
 
     // Maxflow: pad & align dominates; no G&T or indirection (Table 2).

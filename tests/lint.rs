@@ -4,6 +4,7 @@
 //! pipeline. Byte-level stability of `fsr-lint --json` against
 //! `tests/golden/lint.json` is checked by `scripts/tier1.sh`.
 
+use fsr_core::{PipelineConfig, PlanSourceSpec, World};
 use fsr_interp::HbChecker;
 use fsr_lang::ast::{ObjectKind, Program};
 use std::collections::BTreeSet;
@@ -26,23 +27,21 @@ fn racy_names(prog: &Program, report: &fsr_analysis::RaceReport) -> BTreeSet<Str
         .collect()
 }
 
-fn dynamic_racy_names(prog: &Program) -> BTreeSet<String> {
-    let plan = fsr_transform::LayoutPlan::unoptimized(64);
-    let layout = fsr_layout::Layout::build(prog, &plan, 4);
-    let code = fsr_interp::compile_program(prog).unwrap();
+/// Shared-data objects with a happens-before race in the program's
+/// recorded trace under the unoptimized layout.
+fn dynamic_racy_names(source: &str, prog: &Program) -> BTreeSet<String> {
+    let params: Vec<(String, i64)> = PARAMS.iter().map(|&(k, v)| (k.into(), v)).collect();
+    let plan = PlanSourceSpec::Unoptimized;
+    let rec = World::transient()
+        .snapshot()
+        .record_trace(&source.into(), &params, &plan, &PipelineConfig::default())
+        .unwrap();
     let mut checker = HbChecker::new(4);
-    fsr_interp::run(
-        prog,
-        &layout,
-        &code,
-        fsr_interp::RunConfig::default(),
-        &mut checker,
-    )
-    .unwrap();
+    rec.trace.replay(&mut checker);
     checker
         .racy_words()
         .iter()
-        .filter_map(|&w| layout.attribute(w))
+        .filter_map(|&w| rec.layout.attribute(w))
         .filter(|&o| prog.object(o).kind == ObjectKind::SharedData)
         .map(|o| prog.object(o).name.clone())
         .collect()
@@ -136,7 +135,7 @@ fn workload_reports_are_dynamically_confirmed() {
         let w = fsr_workloads::by_name(name).unwrap();
         let (prog, report) = lint(w.name, w.source);
         let stat = racy_names(&prog, &report);
-        let dynr = dynamic_racy_names(&prog);
+        let dynr = dynamic_racy_names(w.source, &prog);
         let unconfirmed: Vec<&String> = stat.difference(&dynr).collect();
         assert!(
             unconfirmed.is_empty(),
@@ -152,7 +151,7 @@ fn mutant_suite_validates_end_to_end() {
     for m in fsr_workloads::mutants::all() {
         let (prog, report) = lint(m.name, m.source);
         let stat = racy_names(&prog, &report);
-        let dynr = dynamic_racy_names(&prog);
+        let dynr = dynamic_racy_names(m.source, &prog);
         if m.seeded {
             for obj in m.racy_objects {
                 assert!(stat.contains(*obj), "{}: `{obj}` not reported", m.name);

@@ -3,19 +3,18 @@
 //! Production simulates every trace through `MultiSim::access_chunk`
 //! and `TimingModel::record_chunk`, fed by the batch driver's sinks.
 //! The reference is the plainest possible replay of the same trace:
-//! `fsr_core::record_trace`'s events, one `MultiSim::access` and one
+//! `Snapshot::record_trace`'s events, one `MultiSim::access` and one
 //! `TimingModel::record` per reference, and `sync`/`handoff`/`steal`
 //! per ordering event. These tests pin the two bit-identical — every
 //! statistic, not approximately — on every workload, protocol backend,
 //! plan, batch width and cache geometry, and on random raw traces.
 
 use fsr_core::driver::{run_batch, Job, PlanSourceSpec};
-use fsr_core::world::FrontEnd;
 use fsr_core::{
-    record_trace, InterconnectKind, PipelineConfig, ProtocolKind, RecordedTrace, SimStats,
-    TimingStats,
+    InterconnectKind, PipelineConfig, ProtocolKind, RecordedTrace, SimStats, TimingStats, World,
 };
 use fsr_interp::TraceEvent;
+use fsr_lang::ast::WORD_BYTES;
 use fsr_machine::TimingModel;
 use fsr_sim::{CacheConfig, MultiSim, Outcome, CHUNK_LANES};
 use proptest::prelude::*;
@@ -45,17 +44,18 @@ type Observed = (SimStats, TimingStats, u64);
 
 /// Replay a recorded trace one reference at a time.
 fn scalar_replay(trace: &RecordedTrace, cfg: &PipelineConfig) -> Observed {
+    let nproc = trace.layout.nproc;
     let mut sim = MultiSim::new(
         CacheConfig {
-            nproc: trace.nproc,
+            nproc,
             block_bytes: cfg.block_bytes,
             cache_bytes: cfg.cache_bytes,
             assoc: cfg.assoc,
             protocol: cfg.protocol,
         },
-        trace.addr_space_bytes,
+        trace.layout.total_words() * WORD_BYTES,
     );
-    let mut timing = TimingModel::new(cfg.machine, trace.nproc);
+    let mut timing = TimingModel::new(cfg.machine, nproc);
     for e in &trace.trace.events {
         match e {
             TraceEvent::Access(r) => {
@@ -82,14 +82,17 @@ fn chunked_batches_match_the_scalar_reference_on_every_workload() {
     let params = [("NPROC", NPROC), ("SCALE", 1)];
     let owned: Vec<(String, i64)> = params.iter().map(|&(k, v)| (k.to_string(), v)).collect();
     let plans = [PlanSourceSpec::Unoptimized, PlanSourceSpec::Compiler];
+    let snap = World::transient().snapshot();
     for w in fsr_workloads::all() {
-        let fe = FrontEnd::compile(w.source, &owned).unwrap();
         let src: Arc<str> = Arc::from(w.source);
         // The trace depends on the plan, never on the backend or the
         // cache geometry: one recording per plan serves every cell.
-        let traces: Vec<RecordedTrace> = plans
+        let traces: Vec<Arc<RecordedTrace>> = plans
             .iter()
-            .map(|plan| record_trace(&fe, plan, &PipelineConfig::with_block(BLOCK)).unwrap())
+            .map(|plan| {
+                snap.record_trace(&src, &owned, plan, &PipelineConfig::with_block(BLOCK))
+                    .unwrap()
+            })
             .collect();
         for (protocol, ic) in backend_pairs() {
             let mut jobs: Vec<Job<String>> = Vec::new();

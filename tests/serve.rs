@@ -257,31 +257,102 @@ impl Write for Captured {
     }
 }
 
+/// Every line `server` writes while handling `lines`, parsed.
+fn handle_all(server: &Server, lines: &[String]) -> Vec<Value> {
+    let buf = Captured::default();
+    let out = Output::new(buf.clone());
+    for line in lines {
+        assert_eq!(server.handle(line, &out), Flow::Continue);
+    }
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).expect("utf-8 output");
+    text.lines()
+        .map(|l| fsr_serve::json::parse(l).expect("one JSON value per line"))
+        .collect()
+}
+
+/// The `message` of an error response.
+fn error_message(v: &Value) -> &str {
+    let e = v.get("error").and_then(|e| e.get("message"));
+    e.and_then(Value::as_str).expect("error response")
+}
+
 /// A hostile line nested far deeper than any protocol message is
 /// answered with an error response, and the server keeps serving.
 #[test]
 fn deeply_nested_request_is_answered_with_an_error() {
-    let server = Server::new();
-    let buf = Captured::default();
-    let out = Output::new(buf.clone());
-    assert_eq!(server.handle(&"[".repeat(100_000), &out), Flow::Continue);
-    assert_eq!(
-        server.handle(r#"{"id": 1, "method": "stats"}"#, &out),
-        Flow::Continue
-    );
-    let text = String::from_utf8(buf.0.lock().unwrap().clone()).expect("utf-8 output");
-    let lines: Vec<Value> = text
-        .lines()
-        .map(|l| fsr_serve::json::parse(l).expect("one JSON response per line"))
-        .collect();
-    assert_eq!(lines.len(), 2, "{text}");
+    let stats = r#"{"id": 1, "method": "stats"}"#.to_string();
+    let lines = handle_all(&Server::new(), &["[".repeat(100_000), stats]);
+    assert_eq!(lines.len(), 2, "{lines:?}");
     assert_eq!(lines[0].get("id"), Some(&Value::Null));
-    let msg = lines[0]
-        .get("error")
-        .and_then(|e| e.get("message"))
-        .and_then(Value::as_str)
-        .expect("error message");
+    let msg = error_message(&lines[0]);
     assert!(msg.contains("nesting deeper than"), "{msg}");
     assert_eq!(lines[1].get("id"), Some(&Value::Int(1)));
-    assert!(lines[1].get("result").is_some(), "{text}");
+    assert!(lines[1].get("result").is_some(), "{lines:?}");
+}
+
+/// `batch` streams exactly one `cell` per job and answers with the
+/// results `simulate` gives the same jobs. A `threads` count outside
+/// `0..=available parallelism` is refused before any job runs.
+#[test]
+fn batch_streams_one_cell_per_job_and_bounds_threads() {
+    let open = r#"{"id": 0, "method": "open", "params": {"name": "mf", "workload": "maxflow"}}"#;
+    let p = format!(r#""name": "mf", "params": {{"NPROC": {NPROC}, "SCALE": {SCALE}}}"#);
+    let jobs = [
+        format!(r#"{{{p}, "config": {{"block": 16}}}}"#),
+        format!(r#"{{{p}, "plan": "compiler", "config": {{"block": {BLOCK}}}}}"#),
+    ];
+    let rpc = |method: &str, params: &str| {
+        format!(r#"{{"id": 1, "method": "{method}", "params": {params}}}"#)
+    };
+    let batch = |extra: &str| {
+        let req = rpc(
+            "batch",
+            &format!(r#"{{"jobs": [{}]{extra}}}"#, jobs.join(", ")),
+        );
+        handle_all(&Server::new(), &[open.to_string(), req])
+    };
+
+    // The same jobs as single `simulate`s, on a world of their own.
+    let mut sims = vec![open.to_string()];
+    sims.extend(jobs.iter().map(|j| rpc("simulate", j)));
+    let want: Vec<String> = handle_all(&Server::new(), &sims)[1..]
+        .iter()
+        .map(|v| {
+            let r = v.get("result").and_then(|r| r.get("result"));
+            r.expect("simulate result").to_string()
+        })
+        .collect();
+
+    for extra in ["", r#", "threads": 0"#, r#", "threads": 1"#] {
+        let lines = batch(extra);
+        let (resp, cells) = lines[1..].split_last().expect("a batch response");
+        let mut indices: Vec<i64> = cells
+            .iter()
+            .map(|n| {
+                assert_eq!(n.get("method").and_then(Value::as_str), Some("cell"));
+                let p = n.get("params").and_then(|p| p.get("index"));
+                p.and_then(Value::as_i64).expect("cell index")
+            })
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(indices, [0, 1], "one cell per job ({extra})");
+        let cells = resp.get("result").and_then(|r| r.get("cells"));
+        let got: Vec<String> = cells
+            .and_then(Value::as_arr)
+            .expect("batch cells")
+            .iter()
+            .map(|c| c.get("result").expect("ok cell").to_string())
+            .collect();
+        assert_eq!(got, want, "{extra}");
+    }
+
+    for bad in ["-1", "1000000"] {
+        let lines = batch(&format!(r#", "threads": {bad}"#));
+        assert_eq!(lines.len(), 2, "threads {bad}: one error response, no cell");
+        let msg = error_message(&lines[1]);
+        assert!(
+            msg.contains("`threads` must be an integer in 0..="),
+            "{msg}"
+        );
+    }
 }

@@ -167,3 +167,39 @@ fn two_docs_sharing_content_share_one_front_end() {
         .unwrap();
     assert!(Arc::ptr_eq(&fy, &fy2));
 }
+
+/// The refined lint and an unoptimized default-config job of the same
+/// source record one shared reference trace, in either order: the
+/// second replays the first one's recording instead of interpreting.
+#[test]
+fn refined_lint_and_unoptimized_job_share_one_recording() {
+    let _g = gate();
+    let src: Arc<str> = Arc::from(source(40));
+    let job = Job {
+        cfg: PipelineConfig::default(),
+        ..job(&src, 0)
+    };
+    for lint_first in [true, false] {
+        let world = World::new();
+        let snapshot = world.snapshot();
+        let lint = || snapshot.lint_refined(&src, &[]).expect("lints");
+        let before = fsr_interp::runs_started();
+        if lint_first {
+            lint();
+        }
+        let (out, stats) = snapshot.run_batch_with_stats(vec![job.clone()], 1);
+        assert!(out[0].1.is_ok());
+        if !lint_first {
+            lint();
+        }
+        let want = if lint_first { (0, 1) } else { (1, 0) };
+        assert_eq!((stats.interpretations, stats.trace_hits), want);
+        let caches = world.cache_stats();
+        assert_eq!(
+            (caches.traces, caches.trace_hits),
+            (1, 1),
+            "lint first: {lint_first}"
+        );
+        assert_eq!(fsr_interp::runs_started() - before, 1);
+    }
+}
