@@ -316,9 +316,7 @@ impl Caches {
         want_analysis: bool,
         rc: &RunCounters,
     ) -> Result<Arc<FrontEnd>, PipelineError> {
-        let key: FeKey = (src.clone(), params.to_vec());
-        let cached = self.fronts.lock().unwrap().get(&key).cloned();
-        let fe = match cached {
+        let fe = match self.cached_front_end(src, params) {
             Some(r) => {
                 rc.fe_hits.fetch_add(1, Ordering::Relaxed);
                 self.fe_ctr.hit();
@@ -327,6 +325,7 @@ impl Caches {
             None => {
                 rc.fe_fresh.fetch_add(1, Ordering::Relaxed);
                 self.fe_ctr.miss();
+                let key: FeKey = (src.clone(), params.to_vec());
                 let fresh = FrontEnd::compile(key.clone()).map(Arc::new);
                 self.fronts
                     .lock()
@@ -342,6 +341,17 @@ impl Caches {
             let _ = fe.analysis_counted(Some(&rc.analyses));
         }
         Ok(fe)
+    }
+
+    /// The front end cached for (src, params), if any, counting neither
+    /// a hit nor a miss.
+    fn cached_front_end(
+        &self,
+        src: &Arc<str>,
+        params: &[(String, i64)],
+    ) -> Option<Result<Arc<FrontEnd>, PipelineError>> {
+        let key: FeKey = (src.clone(), params.to_vec());
+        self.fronts.lock().unwrap().get(&key).cloned()
     }
 
     /// Race-lint summary for (src, params), computed at most once per
@@ -698,6 +708,23 @@ impl Snapshot {
     ) -> Result<Arc<FrontEnd>, PipelineError> {
         self.caches
             .front_end(src, params, false, &RunCounters::default())
+    }
+
+    /// The checked program of this source content, to name the objects
+    /// of a result computed on this world. A cached front end is read
+    /// without counting a hit, since naming reuses no pipeline work; one
+    /// an edit has evicted since is compiled again, and counted as a
+    /// miss.
+    pub fn program(
+        &self,
+        src: &Arc<str>,
+        params: &[(String, i64)],
+    ) -> Result<Arc<crate::Program>, PipelineError> {
+        let fe = match self.caches.cached_front_end(src, params) {
+            Some(fe) => fe,
+            None => self.front_end(src, params),
+        }?;
+        Ok(fe.prog.clone())
     }
 
     /// Race-lint summary for this source content, cached per content.

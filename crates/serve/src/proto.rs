@@ -40,11 +40,47 @@ pub fn response(id: &Value, result: Value) -> String {
     format!("{{\"id\": {id}, \"result\": {result}}}")
 }
 
-pub fn error_response(id: &Value, msg: &str) -> String {
-    format!(
-        "{{\"id\": {id}, \"error\": {{\"message\": {}}}}}",
-        Value::str(msg)
-    )
+/// Why a request failed, as the wire reports it: a plain-text
+/// `message`, plus the structured `data` object when a pipeline stage
+/// failed ([`pipeline_error_json`]).
+#[derive(Debug)]
+pub struct RpcError {
+    pub message: String,
+    pub data: Option<Value>,
+}
+
+impl RpcError {
+    /// A pipeline failure on `src`: its plain-text message, with the
+    /// structured error as `data`.
+    pub fn pipeline(e: &PipelineError, src: &str) -> RpcError {
+        RpcError {
+            message: pipeline_error_message(e, src),
+            data: Some(pipeline_error_json(e, src)),
+        }
+    }
+}
+
+impl From<String> for RpcError {
+    fn from(message: String) -> RpcError {
+        RpcError {
+            message,
+            data: None,
+        }
+    }
+}
+
+impl From<&str> for RpcError {
+    fn from(message: &str) -> RpcError {
+        RpcError::from(message.to_string())
+    }
+}
+
+pub fn error_response(id: &Value, e: RpcError) -> String {
+    let mut fields = vec![("message", Value::str(e.message))];
+    if let Some(data) = e.data {
+        fields.push(("data", data));
+    }
+    format!("{{\"id\": {id}, \"error\": {}}}", obj(fields))
 }
 
 pub fn notification(method: &str, params: Value) -> String {
@@ -226,20 +262,39 @@ pub fn cache_stats_json(s: &CacheStats) -> Value {
     ])
 }
 
-/// Render a pipeline error as a one-line message (plus the structured
-/// diagnostic JSON when the failure is a front-end error with a span).
-pub fn pipeline_error_json(e: &PipelineError, src: &str) -> Value {
+/// The plain-text rendering of a pipeline error: a front-end error with
+/// its line and column in `src`, any other error's `Display`.
+fn pipeline_error_message(e: &PipelineError, src: &str) -> String {
     match e {
-        PipelineError::Lang(err) => obj(vec![
-            ("message", Value::str(err.render(src))),
-            (
-                "diagnostic",
-                crate::json::parse(&fsr_lang::Diagnostic::from(err.clone()).to_json(src))
-                    .unwrap_or(Value::Null),
-            ),
-        ]),
-        other => obj(vec![("message", Value::str(format!("{other:?}")))]),
+        PipelineError::Lang(err) => err.render(src),
+        other => other.to_string(),
     }
+}
+
+/// A pipeline error as a structured object: the plain-text `message`,
+/// the `diagnostic` JSON of a front-end error, the failing stage as
+/// `kind`, and the failing process as `pid` for a runtime error.
+pub fn pipeline_error_json(e: &PipelineError, src: &str) -> Value {
+    let mut fields = vec![("message", Value::str(pipeline_error_message(e, src)))];
+    if let PipelineError::Lang(err) = e {
+        fields.push((
+            "diagnostic",
+            crate::json::parse(&fsr_lang::Diagnostic::from(err.clone()).to_json(src))
+                .unwrap_or(Value::Null),
+        ));
+    }
+    let kind = match e {
+        PipelineError::Lang(_) => "lang",
+        PipelineError::Runtime(_) => "runtime",
+        PipelineError::Layout(_) => "layout",
+        PipelineError::Nproc(_) => "nproc",
+        PipelineError::Driver(_) => "driver",
+    };
+    fields.push(("kind", Value::str(kind)));
+    if let PipelineError::Runtime(r) = e {
+        fields.push(("pid", Value::Int(i64::from(r.pid))));
+    }
+    obj(fields)
 }
 
 /// `params` on the wire is a JSON object of `name -> integer`;

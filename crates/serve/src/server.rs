@@ -9,15 +9,22 @@
 //! Responses carry the request `id`; streamed notifications
 //! (`diagnostic` during `lint`, `cell` during `batch`) have no id and
 //! arrive before the closing response, each as one atomic line.
+//!
+//! Accepted sockets set `TCP_NODELAY`. With Nagle's algorithm on, a
+//! write made while earlier bytes are unacknowledged (the newline
+//! `writeln!` writes after a line's text, or a response after a `lint`'s
+//! diagnostics) sits in the kernel until the client's delayed ACK,
+//! ~40 ms on Linux.
 
 use crate::json::Value;
 use crate::proto::{
     self, batch_stats_json, cache_stats_json, error_response, evicted_json, notification,
-    pipeline_error_json, response, run_result_json, Request,
+    pipeline_error_json, response, run_result_json, Request, RpcError,
 };
 use fsr_core::driver::{effective_threads, Job};
 use fsr_core::{PipelineError, PlanSourceSpec, RunResult, Snapshot, World};
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Mutex;
 
 /// Whether the event loop keeps reading after a request.
@@ -79,7 +86,10 @@ impl Server {
         let req = match proto::parse_request(line) {
             Ok(r) => r,
             Err(e) => {
-                out.line(&error_response(&Value::Null, &format!("bad request: {e}")));
+                out.line(&error_response(
+                    &Value::Null,
+                    format!("bad request: {e}").into(),
+                ));
                 return Flow::Continue;
             }
         };
@@ -91,12 +101,12 @@ impl Server {
         };
         match self.dispatch(&req, out) {
             Ok(result) => out.line(&response(&id, result)),
-            Err(msg) => out.line(&error_response(&id, &msg)),
+            Err(e) => out.line(&error_response(&id, e)),
         }
         flow
     }
 
-    fn dispatch(&self, req: &Request, out: &Output) -> Result<Value, String> {
+    fn dispatch(&self, req: &Request, out: &Output) -> Result<Value, RpcError> {
         match req.method.as_str() {
             "open" => self.open(&req.params),
             "change" => self.change(&req.params),
@@ -107,7 +117,7 @@ impl Server {
             "batch" => self.batch(&req.params, out),
             "stats" => self.stats(),
             "shutdown" => Ok(Value::Obj(vec![("ok".to_string(), Value::Bool(true))])),
-            other => Err(format!("unknown method `{other}`")),
+            other => Err(format!("unknown method `{other}`").into()),
         }
     }
 
@@ -141,7 +151,7 @@ impl Server {
             .ok_or_else(|| format!("no open document named `{name}`"))
     }
 
-    fn open(&self, params: &Value) -> Result<Value, String> {
+    fn open(&self, params: &Value) -> Result<Value, RpcError> {
         let name = Self::name_of(params)?;
         let src = Self::source_of(params)?;
         let mut world = self.world.lock().unwrap();
@@ -152,7 +162,7 @@ impl Server {
         ]))
     }
 
-    fn change(&self, params: &Value) -> Result<Value, String> {
+    fn change(&self, params: &Value) -> Result<Value, RpcError> {
         let name = Self::name_of(params)?;
         let text = params
             .get("text")
@@ -168,7 +178,7 @@ impl Server {
         )]))
     }
 
-    fn close(&self, params: &Value) -> Result<Value, String> {
+    fn close(&self, params: &Value) -> Result<Value, RpcError> {
         let name = Self::name_of(params)?;
         let mut world = self.world.lock().unwrap();
         let evicted = world.close(name);
@@ -178,7 +188,7 @@ impl Server {
         ]))
     }
 
-    fn lint(&self, params: &Value, out: &Output) -> Result<Value, String> {
+    fn lint(&self, params: &Value, out: &Output) -> Result<Value, RpcError> {
         let snapshot = self.snapshot();
         let src = Self::doc_of(&snapshot, params)?;
         let name = Self::name_of(params)?;
@@ -195,7 +205,7 @@ impl Server {
         } else {
             snapshot.lint(&src, &p)
         }
-        .map_err(|e| pipeline_error_json(&e, &src).to_string())?;
+        .map_err(|e| RpcError::pipeline(&e, &src))?;
         // Stream each finding before the summary, in report order.
         for (i, d) in summary.diagnostics.iter().enumerate() {
             let diag = crate::json::parse(&d.to_json(&src)).expect("diagnostic JSON is valid");
@@ -242,17 +252,17 @@ impl Server {
         ]))
     }
 
-    fn plan(&self, params: &Value) -> Result<Value, String> {
+    fn plan(&self, params: &Value) -> Result<Value, RpcError> {
         let snapshot = self.snapshot();
         let src = Self::doc_of(&snapshot, params)?;
         let p = proto::parse_params(params.get("params"))?;
-        let cfg = proto::parse_config(params.get("config"))?;
+        let cfg = proto::parse_config(params.get("config")).map_err(String::from)?;
         let fe = snapshot
             .front_end(&src, &p)
-            .map_err(|e| pipeline_error_json(&e, &src).to_string())?;
+            .map_err(|e| RpcError::pipeline(&e, &src))?;
         let plan = fe
             .plan(&PlanSourceSpec::Compiler, &cfg)
-            .map_err(|e| pipeline_error_json(&e, &src).to_string())?;
+            .map_err(|e| RpcError::pipeline(&e, &src))?;
         Ok(proto::plan_json(&plan, &fe.prog))
     }
 
@@ -268,24 +278,23 @@ impl Server {
         })
     }
 
-    fn simulate(&self, params: &Value) -> Result<Value, String> {
+    fn simulate(&self, params: &Value) -> Result<Value, RpcError> {
         let snapshot = self.snapshot();
         let job = Self::job_of(&snapshot, params, ())?;
         let (mut results, stats) = snapshot.run_batch_with_stats(vec![job], 1);
         let (job, result) = results.remove(0);
-        let r = result.map_err(|e| pipeline_error_json(&e, &job.src).to_string())?;
-        // The run succeeded, so the front end is warm in the cache; it
-        // supplies object names for the plan rendering.
-        let fe = snapshot
-            .front_end(&job.src, &job.params)
-            .map_err(|e| pipeline_error_json(&e, &job.src).to_string())?;
+        let r = result.map_err(|e| RpcError::pipeline(&e, &job.src))?;
+        // The program names the objects of the plan rendering.
+        let prog = snapshot
+            .program(&job.src, &job.params)
+            .map_err(|e| RpcError::pipeline(&e, &job.src))?;
         Ok(Value::Obj(vec![
-            ("result".to_string(), run_result_json(&r, &fe.prog)),
+            ("result".to_string(), run_result_json(&r, &prog)),
             ("stats".to_string(), batch_stats_json(&stats)),
         ]))
     }
 
-    fn batch(&self, params: &Value, out: &Output) -> Result<Value, String> {
+    fn batch(&self, params: &Value, out: &Output) -> Result<Value, RpcError> {
         let snapshot = self.snapshot();
         let jobs_val = params
             .get("jobs")
@@ -330,12 +339,12 @@ impl Server {
         for (job, result) in results {
             match result {
                 Ok(r) => {
-                    let fe = snapshot
-                        .front_end(&job.src, &job.params)
-                        .map_err(|e| pipeline_error_json(&e, &job.src).to_string())?;
+                    let prog = snapshot
+                        .program(&job.src, &job.params)
+                        .map_err(|e| RpcError::pipeline(&e, &job.src))?;
                     cells.push(Value::Obj(vec![
                         ("ok".to_string(), Value::Bool(true)),
-                        ("result".to_string(), run_result_json(&r, &fe.prog)),
+                        ("result".to_string(), run_result_json(&r, &prog)),
                     ]));
                 }
                 Err(e) => cells.push(Value::Obj(vec![
@@ -350,7 +359,7 @@ impl Server {
         ]))
     }
 
-    fn stats(&self) -> Result<Value, String> {
+    fn stats(&self) -> Result<Value, RpcError> {
         let world = self.world.lock().unwrap();
         Ok(Value::Obj(vec![
             ("docs".to_string(), Value::Int(world.doc_count() as i64)),
@@ -371,6 +380,13 @@ pub fn serve_lines(server: &Server, input: impl BufRead, out: &Output) {
             break;
         }
     }
+}
+
+/// One accepted connection: a line reader and an [`Output`] on the same
+/// socket, with `TCP_NODELAY` set so each line is sent as it is written.
+fn connection(conn: TcpStream) -> io::Result<(BufReader<TcpStream>, Output)> {
+    conn.set_nodelay(true)?;
+    Ok((BufReader::new(conn.try_clone()?), Output::new(conn)))
 }
 
 /// Serve one process-wide world over TCP, one thread per connection.
@@ -397,9 +413,17 @@ pub fn serve_tcp_on(
         if shutdown.load(std::sync::atomic::Ordering::SeqCst) {
             break;
         }
-        let conn = conn?;
-        let reader = std::io::BufReader::new(conn.try_clone()?);
-        let out = Output::new(conn);
+        // A failed `accept` or connection setup ends only that attempt;
+        // the daemon and its other clients carry on. Out of file
+        // descriptors, `accept` fails at once until a client leaves, so
+        // it is retried after a pause rather than in a spin.
+        let Ok(conn) = conn else {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            continue;
+        };
+        let Ok((reader, out)) = connection(conn) else {
+            continue;
+        };
         let server = server.clone();
         let shutdown = shutdown.clone();
         workers.push(std::thread::spawn(move || {
@@ -426,4 +450,22 @@ pub fn serve_tcp_on(
         let _ = h.join();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// Accepted sockets start with Nagle's algorithm on; the daemon
+    /// turns it off on every connection it serves.
+    #[test]
+    fn connections_are_served_with_tcp_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (conn, _) = listener.accept().expect("accept");
+        assert!(!conn.nodelay().expect("nodelay"), "Nagle is on by default");
+        let (reader, _out) = connection(conn).expect("connection");
+        assert!(reader.get_ref().nodelay().expect("nodelay"));
+    }
 }

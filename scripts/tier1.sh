@@ -31,7 +31,11 @@ cargo run -q --release --bin fsr-lint -- --advise | diff -u tests/golden/advise.
 abl_out="$(mktemp)"
 steal_out="$(mktemp)"
 exp_out="$(mktemp)"
-trap 'rm -f "$abl_out" "$steal_out" "$exp_out"' EXIT
+serve_err="$(mktemp)"
+tcp_out="$(mktemp)"
+serve_pid=""
+trap 'rm -f "$abl_out" "$steal_out" "$exp_out" "$serve_err" "$tcp_out";
+    [ -z "$serve_pid" ] || kill "$serve_pid" 2>/dev/null' EXIT
 FSR_NPROC=8 FSR_SCALE=1 FSR_BENCH_OUT="$abl_out" \
     cargo run -q --release --bin directory_ablation >/dev/null
 diff -u tests/golden/directory_ablation.json "$abl_out"
@@ -51,6 +55,31 @@ diff -u tests/golden/steal_sweep.json "$steal_out"
 # coverage of the serve crate rides on the --all/--workspace gates above.
 cargo run -q --release --bin fsr-serve < tests/golden/serve_smoke_session.jsonl \
     | diff -u tests/golden/serve_smoke.txt -
+# The same session over TCP must give the same bytes, so both transports
+# are pinned to one transcript. The daemon announces its port on stderr.
+# Every wait is bounded: a daemon that never listens, never answers or
+# never exits fails this step instead of hanging it.
+target/release/fsr-serve --tcp 127.0.0.1:0 2>"$serve_err" &
+serve_pid=$!
+port=""
+for _ in $(seq 100); do
+    port="$(sed -n 's/^fsr-serve: listening on .*:\([0-9][0-9]*\)$/\1/p' "$serve_err")"
+    [ -z "$port" ] || break
+    sleep 0.1
+done
+if [ -z "$port" ]; then
+    echo "fsr-serve --tcp announced no port within 10 s:" >&2
+    cat "$serve_err" >&2
+    exit 1
+fi
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+cat tests/golden/serve_smoke_session.jsonl >&3
+timeout 120 cat <&3 >"$tcp_out"
+exec 3<&-
+timeout 10 tail --pid="$serve_pid" -f /dev/null
+wait "$serve_pid"
+serve_pid=""
+diff -u tests/golden/serve_smoke.txt "$tcp_out"
 # Reference check: Figure 3, Table 2 and the headline through run_jobs
 # (every job a batch of one on its own world, nothing shared) and
 # through one shared batch. The bin asserts every row bit-identical; the

@@ -65,17 +65,19 @@ struct Client {
 impl Client {
     fn connect(addr: std::net::SocketAddr) -> Client {
         let conn = TcpStream::connect(addr).expect("connect");
+        conn.set_nodelay(true).expect("nodelay");
         Client {
             reader: BufReader::new(conn.try_clone().expect("clone")),
             writer: conn,
         }
     }
 
-    /// Send one request; collect streamed notifications until the
-    /// response arrives. Returns (notifications, response).
+    /// Send one request in one write; collect streamed notifications
+    /// until the response arrives. Returns (notifications, response).
     fn rpc(&mut self, req: &str) -> (Vec<Value>, Value) {
-        writeln!(self.writer, "{req}").expect("send");
-        self.writer.flush().expect("flush");
+        self.writer
+            .write_all(format!("{req}\n").as_bytes())
+            .expect("send");
         let mut notes = Vec::new();
         let mut line = String::new();
         loop {
@@ -270,6 +272,14 @@ fn handle_all(server: &Server, lines: &[String]) -> Vec<Value> {
         .collect()
 }
 
+/// The `stats` counter `key` of a world, from a `stats` response.
+fn cache_stat(stats: &Value, key: &str) -> i64 {
+    let v = stats.get("result").and_then(|r| r.get("caches"));
+    v.and_then(|c| c.get(key))
+        .and_then(Value::as_i64)
+        .expect(key)
+}
+
 /// The `message` of an error response.
 fn error_message(v: &Value) -> &str {
     let e = v.get("error").and_then(|e| e.get("message"));
@@ -355,4 +365,63 @@ fn batch_streams_one_cell_per_job_and_bounds_threads() {
             "{msg}"
         );
     }
+}
+
+/// A program whose every run fails at run time, on process 2.
+const OUT_OF_BOUNDS: &str = "shared int a[2]; fn main() { forall p in 0 .. 4 { a[p] = 1; } }";
+
+/// A run that fails is answered with a plain-text `message` and the
+/// structured error as `data`, the same on every repeat, and a failed
+/// `batch` cell carries that object as its `error`.
+#[test]
+fn failed_runs_answer_structured_errors() {
+    let simulate = r#"{"id": 2, "method": "simulate", "params": {"name": "oob"}}"#.to_string();
+    let lines = handle_all(
+        &Server::new(),
+        &[
+            format!(
+                r#"{{"id": 1, "method": "open", "params": {{"name": "oob", "text": "{OUT_OF_BOUNDS}"}}}}"#
+            ),
+            simulate.clone(),
+            simulate.clone(),
+            simulate,
+            r#"{"id": 3, "method": "batch", "params": {"jobs": [{"name": "oob"}]}}"#.to_string(),
+        ],
+    );
+    assert_eq!(lines[1], lines[2]);
+    assert_eq!(lines[1], lines[3]);
+    let msg = error_message(&lines[1]);
+    assert!(!msg.starts_with('{'), "plain-text message: {msg}");
+    assert!(msg.contains("out of bounds"), "{msg}");
+    let data = lines[1].get("error").and_then(|e| e.get("data"));
+    let data = data.expect("structured error data");
+    assert_eq!(data.get("message").and_then(Value::as_str), Some(msg));
+    assert_eq!(data.get("kind").and_then(Value::as_str), Some("runtime"));
+    assert_eq!(data.get("pid").and_then(Value::as_i64), Some(2));
+    let cells = lines[5].get("result").and_then(|r| r.get("cells"));
+    let cells = cells.and_then(Value::as_arr).expect("batch cells");
+    assert_eq!(cells[0].get("error"), Some(data));
+}
+
+/// Naming a result's objects reuses no front end, so a `simulate` and
+/// its repeat (a result-cache hit) count one front-end miss and no hit.
+#[test]
+fn naming_a_result_counts_no_front_end_lookup() {
+    let simulate = format!(
+        r#"{{"id": 2, "method": "simulate", "params": {{"name": "mf", "params": {{"NPROC": {NPROC}, "SCALE": {SCALE}}}}}}}"#
+    );
+    let lines = handle_all(
+        &Server::new(),
+        &[
+            r#"{"id": 1, "method": "open", "params": {"name": "mf", "workload": "maxflow"}}"#
+                .into(),
+            simulate.clone(),
+            simulate,
+            r#"{"id": 3, "method": "stats"}"#.to_string(),
+        ],
+    );
+    let stats = &lines[3];
+    assert_eq!(cache_stat(stats, "result_hits"), 1);
+    assert_eq!(cache_stat(stats, "fe_hits"), 0);
+    assert_eq!(cache_stat(stats, "fe_misses"), 1);
 }
